@@ -1,7 +1,7 @@
 package repro
 
 // Benchmarks regenerating the experiment tables E1–E10 (one benchmark
-// family per table; see DESIGN.md section 4). The cmd/streamline-bench
+// family per table, as listed in internal/bench). The cmd/streamline-bench
 // binary prints the same measurements as formatted tables with fixed input
 // sizes; these testing.B variants let `go test -bench` scale iterations and
 // report ns/op and allocations.

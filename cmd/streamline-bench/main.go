@@ -1,6 +1,6 @@
 // Command streamline-bench runs the STREAMLINE experiment suite E1–E10 and
-// prints one table per experiment (see DESIGN.md for the experiment index
-// and EXPERIMENTS.md for recorded results).
+// prints one table per experiment; each table states the claim it checks
+// (the experiment index is the package comment of internal/bench).
 //
 // Usage:
 //

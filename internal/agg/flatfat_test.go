@@ -199,3 +199,37 @@ func TestFlatFATGrowthPreservesOrder(t *testing.T) {
 		t.Fatalf("aggregate order broken after growth:\n got %q\nwant %q", got, want.String())
 	}
 }
+
+// TestFlatFATClone checks that a clone answers every range like the
+// original, including across a wrapped ring, and that the two evolve
+// independently afterwards.
+func TestFlatFATClone(t *testing.T) {
+	concat := func(a, b string) string { return a + b }
+	tr := NewFlatFAT("", concat, 4)
+	for _, s := range []string{"a", "b", "c", "d", "e"} {
+		tr.Append(s)
+	}
+	tr.EvictFront()
+	tr.EvictFront()
+	tr.Append("f") // front has moved, so the occupied leaves wrap
+	c := tr.Clone()
+	for i := 0; i <= tr.Len(); i++ {
+		for j := i; j <= tr.Len(); j++ {
+			if got, want := c.Range(i, j), tr.Range(i, j); got != want {
+				t.Fatalf("clone Range(%d,%d) = %q, want %q", i, j, got, want)
+			}
+		}
+	}
+	c.UpdateBack("F")
+	c.EvictFront()
+	for i := 0; i < 20; i++ {
+		c.Append("x") // forces growth of the clone only
+	}
+	if got := tr.Aggregate(); got != "cdef" {
+		t.Fatalf("original aggregate after mutating the clone = %q, want %q", got, "cdef")
+	}
+	tr.Append("g")
+	if got, want := c.Aggregate(), "deF"+strings.Repeat("x", 20); got != want {
+		t.Fatalf("clone aggregate after mutating the original = %q, want %q", got, want)
+	}
+}

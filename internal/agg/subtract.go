@@ -5,9 +5,8 @@ package agg
 // per push and one Invert per eviction. It is the cheapest possible window
 // state but applies only when Invert exists — min/max cannot use it, which
 // is exactly why general engines need FlatFAT/two-stacks. The agg
-// micro-benchmarks compare all three, and the Cutty engine could use it per
-// slice-range for invertible functions (an ablation discussed in
-// DESIGN.md).
+// micro-benchmarks compare all three, and experiment E11 ablates it against
+// FlatFAT and two-stacks for an invertible function.
 type SubtractOnEvict struct {
 	fn   *FnF64
 	acc  Acc

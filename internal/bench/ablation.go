@@ -10,7 +10,7 @@ import (
 	"repro/internal/window"
 )
 
-// E11Ablation isolates the design choices called out in DESIGN.md:
+// E11Ablation isolates two design choices of the Cutty engine:
 //
 //   - window evaluation strategy inside Cutty: FlatFAT range queries
 //     (O(log s) per window) vs a linear fold over the window's slices
@@ -25,7 +25,7 @@ func E11Ablation(quick bool) *Table {
 	t := &Table{
 		ID:     "E11",
 		Title:  "ablations: window evaluation strategy and state structures",
-		Claim:  "design choices behind the Cutty engine (DESIGN.md §5)",
+		Claim:  "design choices behind the Cutty engine",
 		Header: []string{"variant", "workload", "throughput"},
 	}
 

@@ -1,6 +1,6 @@
-// Package bench implements the STREAMLINE experiment suite E1–E10 (see
-// DESIGN.md section 4): each experiment regenerates one table of the
-// evaluation, driving the same engines and pipelines the library ships.
+// Package bench implements the STREAMLINE experiment suite E1–E10: each
+// experiment regenerates one table of the evaluation, driving the same
+// engines and pipelines the library ships.
 // The cmd/streamline-bench binary prints the tables; the root bench_test.go
 // exposes the same measurements as testing.B benchmarks.
 package bench

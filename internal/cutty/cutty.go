@@ -23,7 +23,9 @@ package cutty
 
 import (
 	"fmt"
+	"maps"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/agg"
@@ -250,6 +252,57 @@ func (e *Engine) OnWatermark(wm int64) {
 	}
 	e.active = nil
 	e.evict()
+}
+
+// NextDeadline returns the smallest watermark at which OnWatermark would
+// close a window of any query — the minimum of the assigners' deadlines —
+// or math.MaxInt64 when only the end-of-stream flush can close one. A
+// watermark below it is a no-op for emission, so callers running many
+// engines may skip it.
+func (e *Engine) NextDeadline() int64 {
+	d := int64(math.MaxInt64)
+	for _, q := range e.qlist {
+		d = min(d, q.assigner.Deadline())
+	}
+	return d
+}
+
+// Clone returns an independent deep copy of the engine emitting to emit:
+// the slice ring, every function store's FlatFAT, every query's open
+// windows and assigner. Aggregate functions and window parameters are
+// immutable and shared. Snapshotting the clone yields the same bytes as
+// snapshotting the original.
+func (e *Engine) Clone(emit engine.Emit) *Engine {
+	c := &Engine{
+		emit:       emit,
+		pos:        e.pos,
+		curWM:      e.curWM,
+		queries:    make(map[int]*queryState, len(e.queries)),
+		nextQID:    e.nextQID,
+		stores:     make(map[string]*fnStore, len(e.stores)),
+		qlist:      make([]*queryState, 0, len(e.qlist)),
+		stlist:     make([]*fnStore, 0, len(e.stlist)),
+		meta:       metaRing{base: e.meta.base, items: slices.Clone(e.meta.items)},
+		cutPending: e.cutPending,
+		linearEval: e.linearEval,
+	}
+	for _, st := range e.stlist {
+		ns := &fnStore{fn: st.fn, tree: st.tree.Clone(), refs: st.refs}
+		c.stores[st.fn.Name] = ns
+		c.stlist = append(c.stlist, ns)
+	}
+	for _, q := range e.qlist {
+		nq := &queryState{
+			id:       q.id,
+			assigner: q.assigner.Clone(),
+			store:    c.stores[q.store.fn.Name],
+			open:     maps.Clone(q.open),
+			minBegin: q.minBegin,
+		}
+		c.queries[q.id] = nq
+		c.qlist = append(c.qlist, nq)
+	}
+	return c
 }
 
 // StoredPartials implements engine.Engine: live slice partials across all

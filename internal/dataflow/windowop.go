@@ -1,11 +1,11 @@
 package dataflow
 
 import (
-	"bytes"
+	"cmp"
 	"encoding/gob"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/agg"
 	"repro/internal/cutty"
@@ -46,6 +46,13 @@ type WindowOp struct {
 	droppedLate int64
 	droppedCtr  *metrics.Counter
 
+	// minDue is a lower bound on every engine's NextDeadline: a watermark
+	// below it fires no window anywhere, so OnWatermark skips the engine
+	// sweep. It is derived state, never checkpointed; Open starts it at
+	// math.MinInt64 (unknown), so the first watermark after Open or restore
+	// sweeps every engine and recomputes it.
+	minDue int64
+
 	// Vectorized-run scratch (see OnBatch), reused across calls.
 	kt     keyTable
 	recIdx []int32    // per record: dense key index, -1 = skipped (non-float64)
@@ -81,19 +88,15 @@ func (w *WindowOp) newEngine() *cutty.Engine {
 	return e
 }
 
-// cloneEngine deep-copies an engine via its snapshot codec — the
-// copy-on-write path taken when a key is mutated while its captured state
-// is still being serialized.
+// cloneEngine is the engines cell's copy-on-write clone, taken when
+// GetMut reaches a key whose engine an in-flight capture still shares. It
+// is a direct deep copy (cutty.Engine.Clone) rebound to this operator's
+// emitter, never an encode/decode round trip, and it snapshots to the same
+// bytes as the original. The gated sweep in OnWatermark calls GetMut only
+// on engines with a due deadline, so a capture window clones at most the
+// engines that fire or receive records while it lasts.
 func (w *WindowOp) cloneEngine(e *cutty.Engine) *cutty.Engine {
-	var buf bytes.Buffer
-	if err := e.Snapshot(gob.NewEncoder(&buf)); err != nil {
-		panic(fmt.Sprintf("dataflow: window engine clone (snapshot): %v", err))
-	}
-	ne := w.newEngine()
-	if err := ne.Restore(gob.NewDecoder(bytes.NewReader(buf.Bytes()))); err != nil {
-		panic(fmt.Sprintf("dataflow: window engine clone (restore): %v", err))
-	}
-	return ne
+	return e.Clone(w.emitResult)
 }
 
 func (w *WindowOp) emitResult(r engine.Result) {
@@ -119,6 +122,7 @@ func (w *WindowOp) Open(ctx *OpContext) error {
 	})
 	w.buf = state.RegisterMap(w.ks, "buf", state.SliceCodec[bufEntry]())
 	w.wm = state.RegisterPerGroup(w.ks, "wm", int64(math.MinInt64), state.GobCodec[int64]())
+	w.minDue = math.MinInt64
 	if ctx.Metrics != nil {
 		w.droppedCtr = ctx.Metrics.Counter("node." + ctx.NodeName + ".records_dropped_late")
 	}
@@ -250,14 +254,23 @@ func (w *WindowOp) engineFor(key uint64) *cutty.Engine {
 	return e
 }
 
-// OnWatermark implements Operator: release buffered records with ts <= wm
-// per key in event-time order into the key's engine, then advance every
-// engine's watermark and the per-group release watermark. The sweep runs
-// eagerly — window results must be emitted before the runtime forwards the
-// watermark downstream, or a downstream event-time operator would drop
-// them as late. While a snapshot capture is serializing, each engine the
-// sweep touches pays its copy-on-write clone once; that cost is bounded by
-// one deep copy per engine per checkpoint and never blocks the barrier.
+// OnWatermark implements Operator. It runs in two phases, both in
+// ascending key order so emission order is deterministic:
+//
+//  1. Release: each key's buffered records with ts <= wm are fed to its
+//     engine in event-time order, and the engine's deadline lowers minDue.
+//  2. Sweep: if wm >= minDue, every engine whose NextDeadline is <= wm
+//     advances to wm and fires its due windows, and minDue is recomputed
+//     as the minimum deadline left. A watermark below minDue skips the
+//     sweep outright.
+//
+// An engine that is not due would have emitted nothing and changed no
+// assigner state, so skipping it leaves the output byte-identical to
+// advancing every engine. A watermark between window boundaries therefore
+// costs only its release. The sweep runs eagerly, before the runtime
+// forwards the watermark downstream, or a downstream event-time operator
+// would drop the results as late. Only fed or fired engines go through
+// GetMut, so only they pay a copy-on-write clone during a capture.
 func (w *WindowOp) OnWatermark(wm int64, out Collector) {
 	w.out = out
 	for _, key := range w.buf.SortedKeys() {
@@ -273,7 +286,7 @@ func (w *WindowOp) OnWatermark(wm int64, out Collector) {
 			continue
 		}
 		entries, _ = w.buf.GetMut(key)
-		sort.SliceStable(entries, func(i, j int) bool { return entries[i].Ts < entries[j].Ts })
+		slices.SortStableFunc(entries, func(a, b bufEntry) int { return cmp.Compare(a.Ts, b.Ts) })
 		e := w.engineFor(key)
 		w.curKey = key
 		i := 0
@@ -286,10 +299,19 @@ func (w *WindowOp) OnWatermark(wm int64, out Collector) {
 		} else {
 			w.buf.Put(key, entries[i:])
 		}
+		w.minDue = min(w.minDue, e.NextDeadline())
 	}
-	for _, key := range w.engines.SortedKeys() {
-		w.curKey = key
-		w.engineFor(key).OnWatermark(wm)
+	if wm >= w.minDue {
+		w.minDue = math.MaxInt64
+		for _, key := range w.engines.SortedKeys() {
+			e, _ := w.engines.Get(key)
+			if e.NextDeadline() <= wm {
+				e, _ = w.engines.GetMut(key)
+				w.curKey = key
+				e.OnWatermark(wm)
+			}
+			w.minDue = min(w.minDue, e.NextDeadline())
+		}
 	}
 	w.wm.SetAll(wm)
 	w.out = nil

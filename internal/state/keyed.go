@@ -4,7 +4,7 @@ import (
 	"bytes"
 	"encoding/gob"
 	"fmt"
-	"sort"
+	"slices"
 	"sync/atomic"
 )
 
@@ -397,7 +397,7 @@ func (c *MapCell[V]) SortedKeys() []uint64 {
 			keys = append(keys, k)
 		}
 	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+	slices.Sort(keys)
 	return keys
 }
 
@@ -426,7 +426,7 @@ func (cm *capturedMap[V]) encodeGroup(enc *gob.Encoder, group int) error {
 	for k := range m {
 		keys = append(keys, k)
 	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+	slices.Sort(keys)
 	if err := enc.Encode(len(keys)); err != nil {
 		return err
 	}

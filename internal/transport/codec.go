@@ -137,6 +137,12 @@ func (b *wireBatch) GobDecode(data []byte) error {
 	if err != nil {
 		return err
 	}
+	// Every record takes at least 4 bytes (kind, ts, key, payload tag).
+	// Bounding the count by the bytes left keeps a corrupt or hostile
+	// header from sizing an allocation the process cannot survive.
+	if n > uint64(len(data)-off)/4 {
+		return fmt.Errorf("wire batch: %d records cannot fit in %d bytes", n, len(data)-off)
+	}
 	out := make([]dataflow.Record, 0, n)
 	for i := uint64(0); i < n; i++ {
 		var r dataflow.Record

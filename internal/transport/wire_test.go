@@ -38,6 +38,12 @@ func TestFrameRoundTrip(t *testing.T) {
 			dataflow.Data(105, 6, dataflow.JoinedPair{WindowStart: 100, WindowEnd: 200, Left: 1, Right: 2}),
 			dataflow.Data(106, 7, customPayload{Name: "x", Score: 0.25}),
 		}}},
+		{Ref: ref, Recs: wireBatch{recs: []dataflow.Record{
+			dataflow.Data(107, 8, nil),
+			dataflow.Data(108, 8, 11),
+			dataflow.Data(109, 8, uint64(1<<40)),
+			dataflow.Data(110, 8, true),
+		}}},
 		{Ref: ref, Recs: wireBatch{recs: []dataflow.Record{dataflow.Watermark(150)}}},
 		{Ref: ref, Recs: wireBatch{recs: []dataflow.Record{dataflow.Barrier(9)}}},
 		{Ref: ref, Recs: wireBatch{recs: []dataflow.Record{dataflow.End()}}},

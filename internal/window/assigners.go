@@ -1,6 +1,9 @@
 package window
 
-import "math"
+import (
+	"math"
+	"slices"
+)
 
 // Tumbling returns a spec for non-overlapping time windows of the given
 // size: [k*size, (k+1)*size).
@@ -85,6 +88,19 @@ func (a *slidingAssigner) OnTime(wm int64, ctx Context) {
 	a.open = a.open[i:]
 }
 
+func (a *slidingAssigner) Deadline() int64 {
+	if len(a.open) == 0 {
+		return math.MaxInt64
+	}
+	return a.open[0] + a.size
+}
+
+func (a *slidingAssigner) Clone() Assigner {
+	c := *a
+	c.open = slices.Clone(a.open)
+	return &c
+}
+
 // firstStartAfter returns the smallest non-negative multiple of slide that
 // is strictly greater than t.
 func firstStartAfter(t, slide int64) int64 {
@@ -132,6 +148,18 @@ func (a *sessionAssigner) OnTime(wm int64, ctx Context) {
 		ctx.CloseHere(a.start, a.lastTs+a.gap)
 		a.active = false
 	}
+}
+
+func (a *sessionAssigner) Deadline() int64 {
+	if !a.active {
+		return math.MaxInt64
+	}
+	return a.lastTs + a.gap
+}
+
+func (a *sessionAssigner) Clone() Assigner {
+	c := *a
+	return &c
 }
 
 // CountTumbling returns a spec for count windows of n elements each.
@@ -190,6 +218,16 @@ func (a *countAssigner) OnTime(wm int64, ctx Context) {
 	}
 }
 
+// Deadline is math.MaxInt64: count windows close on time only at the
+// end-of-stream flush.
+func (a *countAssigner) Deadline() int64 { return math.MaxInt64 }
+
+func (a *countAssigner) Clone() Assigner {
+	c := *a
+	c.open = slices.Clone(a.open)
+	return &c
+}
+
 // Punctuation returns a spec for data-driven windows delimited by marker
 // elements: a window begins at a marker and spans up to (excluding) the next
 // marker. Elements before the first marker belong to no window.
@@ -223,6 +261,15 @@ func (a *punctuationAssigner) OnTime(wm int64, ctx Context) {
 		ctx.CloseHere(a.start, wm)
 		a.active = false
 	}
+}
+
+// Deadline is math.MaxInt64: punctuation windows close on time only at the
+// end-of-stream flush.
+func (a *punctuationAssigner) Deadline() int64 { return math.MaxInt64 }
+
+func (a *punctuationAssigner) Clone() Assigner {
+	c := *a
+	return &c
 }
 
 // Delta returns a spec for delta (threshold) windows, one of Cutty's
@@ -264,6 +311,15 @@ func (a *deltaAssigner) OnTime(wm int64, ctx Context) {
 		ctx.CloseHere(a.start, wm)
 		a.active = false
 	}
+}
+
+// Deadline is math.MaxInt64: delta windows close on time only at the
+// end-of-stream flush.
+func (a *deltaAssigner) Deadline() int64 { return math.MaxInt64 }
+
+func (a *deltaAssigner) Clone() Assigner {
+	c := *a
+	return &c
 }
 
 // SessionWithMaxDuration returns a spec for sessions that additionally close
@@ -309,12 +365,22 @@ func (a *sessionMaxAssigner) OnTime(wm int64, ctx Context) {
 	if !a.active {
 		return
 	}
-	end := a.lastTs + a.gap
-	if a.start+a.maxDur < end {
-		end = a.start + a.maxDur
-	}
-	if wm >= end {
+	if end := a.Deadline(); wm >= end {
 		ctx.CloseHere(a.start, end)
 		a.active = false
 	}
+}
+
+// Deadline is the earlier of the session's gap end and its maximum-duration
+// end.
+func (a *sessionMaxAssigner) Deadline() int64 {
+	if !a.active {
+		return math.MaxInt64
+	}
+	return min(a.lastTs+a.gap, a.start+a.maxDur)
+}
+
+func (a *sessionMaxAssigner) Clone() Assigner {
+	c := *a
+	return &c
 }

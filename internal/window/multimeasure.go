@@ -70,6 +70,20 @@ func (a *timeOrCountAssigner) OnTime(wm int64, ctx Context) {
 	}
 }
 
+// Deadline is the window's time end; the count bound closes windows from
+// OnElement, not from OnTime.
+func (a *timeOrCountAssigner) Deadline() int64 {
+	if !a.active {
+		return math.MaxInt64
+	}
+	return a.start + a.maxDur
+}
+
+func (a *timeOrCountAssigner) Clone() Assigner {
+	c := *a
+	return &c
+}
+
 type timeOrCountState struct {
 	Active   bool
 	Start    int64

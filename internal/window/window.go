@@ -60,8 +60,17 @@ type Assigner interface {
 	// that data-driven windows (punctuation, delta) can be expressed.
 	OnElement(ts, pos int64, v float64, ctx Context)
 	// OnTime observes the advance of event time to wm (a watermark).
-	// Time-based windows close here.
+	// Time-based windows close here. A call that closes no window must leave
+	// the assigner unchanged.
 	OnTime(wm int64, ctx Context)
+	// Deadline returns the smallest watermark at which OnTime would close a
+	// window, or math.MaxInt64 when only the end-of-stream flush can. Engines
+	// may skip OnTime for every watermark below it; a deadline that is too
+	// early only costs a wasted call, one that is too late loses results.
+	Deadline() int64
+	// Clone returns an independent deep copy of the assigner's state.
+	// Immutable parameters (sizes, closures) may be shared.
+	Clone() Assigner
 }
 
 // Factory produces a fresh, independent Assigner instance (one per key and

@@ -116,6 +116,33 @@
 // compiled onto an untyped dataflow, in the tradition of Flink's
 // TypeInformation machinery.
 //
+// # Windows
+//
+// WindowAggregate runs every query of one call in a single Cutty engine
+// per key: the queries' window begins cut the stream into shared slices,
+// each element costs one fold per distinct aggregate function, and a
+// completed window costs one O(log s) range query over its s live slices.
+// Records are buffered per key until the watermark passes them, then
+// released to the key's engine in event-time order.
+//
+// A watermark costs work only where it can change the output. Every
+// assigner reports a deadline, the smallest watermark at which it would
+// close a window: the end of its oldest open time window, or never for
+// count, punctuation and delta windows, which close on data and at end of
+// stream. Per watermark, the operator pays
+//
+//   - for each key with records at or below the watermark: a sort of its
+//     buffer and one fold per released record;
+//   - nothing more when the watermark is below the earliest deadline of
+//     any key, which is the common case between window boundaries;
+//   - otherwise, one pass over the subtask's keys in key order that fires
+//     only the keys whose deadline is due.
+//
+// Results are identical, in content and in order, to advancing every
+// key's engine on every watermark. During a checkpoint capture only the
+// engines that are fed or fired are copied (a direct deep copy); idle
+// engines stay shared with the capture.
+//
 // # The batched exchange
 //
 // Underneath, records cross subtask boundaries in pooled batches rather
