@@ -11,12 +11,12 @@
 // fed through a composable Source[T] connector API — slices and files for
 // data at rest, channels and generators for data in motion, and the Hybrid
 // connector for the paper's headline scenario, replaying stored history and
-// seamlessly continuing on the live stream. Everything lowers onto the
-// untyped record engine in internal/core and internal/dataflow. Programs
-// written against it — all examples/ and the CLIs — never perform a type
-// assertion; the optimizer (operator chaining, adaptive combiner insertion,
-// Cutty multi-query window sharing, architecture-sized parallelism) applies
-// to typed plans unchanged.
+// seamlessly continuing on the live stream. Everything lowers straight onto
+// the untyped record engine in internal/dataflow. Programs written against
+// it — all examples/ and the CLIs — never perform a type assertion; the
+// optimizer (operator chaining, adaptive combiner insertion, Cutty
+// multi-query window sharing, architecture-sized parallelism) applies as
+// the typed operators lower.
 //
 // The examples tour the application scenarios:
 //

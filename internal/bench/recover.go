@@ -113,8 +113,8 @@ func Recover(quick bool) (*RecoverReport, error) {
 	backend := streamline.NewMemoryBackend(0)
 	supEnv, supOut := recoverEnv(n, pace)
 	sup, err := transport.NewSupervisor(transport.Config{
-		Graph:             supEnv.Core().Graph(),
-		Chaining:          supEnv.Core().Chaining(),
+		Graph:             supEnv.Graph(),
+		Chaining:          supEnv.Chaining(),
 		Workers:           workers,
 		Backend:           backend,
 		Interval:          10 * time.Millisecond,
@@ -133,7 +133,7 @@ func Recover(quick bool) (*RecoverReport, error) {
 
 	build := func(string, []string) (*dataflow.Graph, bool, error) {
 		env, _ := recoverEnv(n, pace)
-		return env.Core().Graph(), env.Core().Chaining(), nil
+		return env.Graph(), env.Chaining(), nil
 	}
 	killer := chaos.NewKiller()
 	nextWorker := 0

@@ -1,12 +1,10 @@
-package core
+package dataflow
 
 import (
 	"bytes"
 	"encoding/gob"
 	"fmt"
 	"sort"
-
-	"repro/internal/dataflow"
 )
 
 // CombinerOp is the optimizer's pre-aggregation operator: it sits on the
@@ -40,7 +38,7 @@ type combEntry struct {
 
 const combinerSampleSize = 512
 
-var _ dataflow.Operator = (*CombinerOp)(nil)
+var _ Operator = (*CombinerOp)(nil)
 
 type combinerState struct {
 	Decided bool
@@ -51,8 +49,8 @@ type combinerState struct {
 	Ts      []int64
 }
 
-// Open implements dataflow.Operator.
-func (c *CombinerOp) Open(ctx *dataflow.OpContext) error {
+// Open implements Operator.
+func (c *CombinerOp) Open(ctx *OpContext) error {
 	c.table = make(map[uint64]combEntry)
 	c.unique = make(map[uint64]struct{})
 	if c.FlushEvery <= 0 {
@@ -76,8 +74,8 @@ func (c *CombinerOp) Open(ctx *dataflow.OpContext) error {
 	return nil
 }
 
-// OnRecord implements dataflow.Operator.
-func (c *CombinerOp) OnRecord(r dataflow.Record, out dataflow.Collector) {
+// OnRecord implements Operator.
+func (c *CombinerOp) OnRecord(r Record, out Collector) {
 	v, ok := r.Value.(float64)
 	if !ok {
 		out.Collect(r)
@@ -118,34 +116,34 @@ func (c *CombinerOp) OnRecord(r dataflow.Record, out dataflow.Collector) {
 	}
 }
 
-// OnBatch implements dataflow.BatchedOperator: the per-record fold applied
+// OnBatch implements BatchedOperator: the per-record fold applied
 // over the whole run. Pass-throughs and flushes emit through out (delivered
 // in fold order), so the semantics are exactly the per-record path's; the
 // point is keeping a chain that contains a combiner on the vectorized path.
-func (c *CombinerOp) OnBatch(b []dataflow.Record, out dataflow.Collector) []dataflow.Record {
+func (c *CombinerOp) OnBatch(b []Record, out Collector) []Record {
 	for i := range b {
 		c.OnRecord(b[i], out)
 	}
 	return nil
 }
 
-// OnWatermark implements dataflow.Operator: flush so that downstream
+// OnWatermark implements Operator: flush so that downstream
 // event-time processing (window release) sees all data at or below the
 // watermark.
-func (c *CombinerOp) OnWatermark(wm int64, out dataflow.Collector) {
+func (c *CombinerOp) OnWatermark(wm int64, out Collector) {
 	c.flush(out)
 }
 
-func (c *CombinerOp) flush(out dataflow.Collector) {
+func (c *CombinerOp) flush(out Collector) {
 	for _, k := range c.order {
 		e := c.table[k]
-		out.Collect(dataflow.Data(e.ts, k, e.acc))
+		out.Collect(Data(e.ts, k, e.acc))
 	}
 	c.table = make(map[uint64]combEntry)
 	c.order = c.order[:0]
 }
 
-// Snapshot implements dataflow.Operator.
+// Snapshot implements Operator.
 func (c *CombinerOp) Snapshot() ([]byte, error) {
 	s := combinerState{Decided: c.decided, Enabled: c.enabled, Sampled: c.sampled}
 	keys := make([]uint64, 0, len(c.table))
@@ -165,8 +163,8 @@ func (c *CombinerOp) Snapshot() ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// Finish implements dataflow.Operator.
-func (c *CombinerOp) Finish(out dataflow.Collector) {
+// Finish implements Operator.
+func (c *CombinerOp) Finish(out Collector) {
 	c.flush(out)
 }
 

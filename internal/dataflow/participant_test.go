@@ -129,7 +129,7 @@ func runParticipants(ctx context.Context, graphs []*Graph, backend state.Backend
 }
 
 // pinSink marks the named node pinned so placement keeps it on the
-// coordinator participant — what core's sink constructors do automatically.
+// coordinator participant — what the streamline sinks do automatically.
 func pinSink(g *Graph, name string) {
 	for _, n := range g.Nodes() {
 		if n.Name == name {

@@ -1,4 +1,4 @@
-package core
+package dataflow
 
 import (
 	"crypto/sha256"
@@ -6,8 +6,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"time"
-
-	"repro/internal/dataflow"
 )
 
 // PlanSpec is the structural identity of a physical plan — everything about
@@ -50,7 +48,7 @@ type EdgeSpec struct {
 // SpecOf extracts the structural spec of a graph. Chaining is part of the
 // physical plan (it decides which edges exist at runtime), so it is folded
 // into the spec rather than carried separately.
-func SpecOf(g *dataflow.Graph, chaining bool) PlanSpec {
+func SpecOf(g *Graph, chaining bool) PlanSpec {
 	s := PlanSpec{
 		Name:          g.Name,
 		BatchSize:     g.BatchSize,

@@ -76,7 +76,7 @@ func buildWordcount(args []string, extra ...streamline.Option) (*streamline.Env,
 			vocab[streamline.KeyOf(w)] = w
 		}
 	}
-	src := streamline.FromSlice(env, "lines", input)
+	src := streamline.From(env, "lines", streamline.Slice(input))
 	words := streamline.FlatMap(src, "split", func(l string, em streamline.Emitter[string]) {
 		for _, w := range strings.Fields(l) {
 			em.Emit(w)

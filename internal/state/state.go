@@ -300,6 +300,10 @@ func (f *FileBackend) read(path string) (*Snapshot, error) {
 	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&fs); err != nil {
 		return nil, fmt.Errorf("state: decode %s: %w", path, err)
 	}
+	if len(fs.Blobs) != len(fs.Keys) || len(fs.GroupBlobs) != len(fs.GroupKeys) {
+		return nil, fmt.Errorf("state: decode %s: %d keys for %d blobs, %d group keys for %d group blobs",
+			path, len(fs.Keys), len(fs.Blobs), len(fs.GroupKeys), len(fs.GroupBlobs))
+	}
 	snap := NewSnapshot(fs.CheckpointID)
 	snap.NumKeyGroups = fs.NumKeyGroups
 	for i, k := range fs.Keys {

@@ -10,7 +10,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/dataflow"
 	"repro/internal/metrics"
 	"repro/internal/state"
@@ -308,7 +307,7 @@ func (ep *epoch) run(ctx context.Context) error {
 	for _, w := range ep.workers {
 		addrs[w.i] = w.dataAddr
 	}
-	spec := core.SpecOf(g, ep.cfg.Chaining)
+	spec := dataflow.SpecOf(g, ep.cfg.Chaining)
 	fp := spec.Fingerprint()
 	placement := dataflow.ComputePlacement(g, ep.cfg.Chaining, W)
 	for _, w := range ep.workers {

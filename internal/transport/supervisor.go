@@ -156,9 +156,11 @@ func (s *Supervisor) Run(ctx context.Context) error {
 	var lastErr error
 	for attempt := 0; ; attempt++ {
 		// Each recovery resumes from the newest completed checkpoint —
-		// possibly one persisted by the epoch that just failed.
+		// possibly one persisted by the epoch that just failed. A corrupt
+		// newer checkpoint comes back as an error alongside the newest
+		// readable one, which is still the right place to resume.
 		if attempt > 0 && s.cfg.Backend != nil {
-			if snap, ok, err := s.cfg.Backend.Latest(); err == nil && ok {
+			if snap, ok, _ := s.cfg.Backend.Latest(); ok {
 				restore = snap
 			}
 		}

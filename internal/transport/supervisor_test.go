@@ -8,12 +8,14 @@ package transport_test
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"net"
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -55,7 +57,7 @@ func renderSums(out *streamline.Results[float64]) string {
 func soakBuild(events int64, perSec float64) transport.BuildFunc {
 	return func(string, []string) (*dataflow.Graph, bool, error) {
 		env, _ := soakEnv(events, perSec)
-		return env.Core().Graph(), env.Core().Chaining(), nil
+		return env.Graph(), env.Chaining(), nil
 	}
 }
 
@@ -90,8 +92,8 @@ func TestSupervisorSoakSurvivesKills(t *testing.T) {
 	backend := streamline.NewMemoryBackend(0)
 	supEnv, supOut := soakEnv(events, pace)
 	cfg := transport.Config{
-		Graph:             supEnv.Core().Graph(),
-		Chaining:          supEnv.Core().Chaining(),
+		Graph:             supEnv.Graph(),
+		Chaining:          supEnv.Chaining(),
 		Workers:           2,
 		Backend:           backend,
 		Interval:          10 * time.Millisecond,
@@ -260,8 +262,8 @@ func TestSupervisorExhaustsRestartBudget(t *testing.T) {
 
 	env := failingEnv()
 	cfg := transport.Config{
-		Graph:             env.Core().Graph(),
-		Chaining:          env.Core().Chaining(),
+		Graph:             env.Graph(),
+		Chaining:          env.Chaining(),
 		Workers:           1,
 		HeartbeatInterval: 20 * time.Millisecond,
 		HeartbeatTimeout:  time.Second,
@@ -277,7 +279,7 @@ func TestSupervisorExhaustsRestartBudget(t *testing.T) {
 	}
 	build := func(string, []string) (*dataflow.Graph, bool, error) {
 		e := failingEnv()
-		return e.Core().Graph(), e.Core().Chaining(), nil
+		return e.Graph(), e.Chaining(), nil
 	}
 	workerDone := make(chan struct{})
 	go func() {
@@ -308,5 +310,151 @@ func TestSupervisorExhaustsRestartBudget(t *testing.T) {
 	case <-workerDone:
 	case <-time.After(30 * time.Second):
 		t.Fatal("worker loop did not exit after the terminal stop")
+	}
+}
+
+// flakyOnceSource emits positions 0..total-1 keyed five ways and fails
+// exactly once job-wide: the first reader to reach failAt after a checkpoint
+// has completed reports an error, so the recovery must resume mid-stream.
+type flakyOnceSource struct {
+	total, failAt int64
+	failed        *atomic.Bool
+	ckpts         streamline.Backend
+}
+
+func (s flakyOnceSource) Open(sub, par int) streamline.Reader[float64] {
+	return &flakyOnceReader{src: s}
+}
+
+type flakyOnceReader struct {
+	src flakyOnceSource
+	pos int64
+	err error
+}
+
+func (r *flakyOnceReader) Next() (streamline.Keyed[float64], streamline.ReadStatus) {
+	if r.pos == r.src.failAt && !r.src.failed.Load() {
+		if _, ok, _ := r.src.ckpts.Latest(); !ok {
+			// Stall until a checkpoint exists to resume from.
+			time.Sleep(time.Millisecond)
+			return streamline.Keyed[float64]{}, streamline.ReadIdle
+		}
+		if r.src.failed.CompareAndSwap(false, true) {
+			r.err = errors.New("injected transient failure")
+			return streamline.Keyed[float64]{}, streamline.ReadEnd
+		}
+	}
+	if r.pos >= r.src.total {
+		return streamline.Keyed[float64]{}, streamline.ReadEnd
+	}
+	i := r.pos
+	r.pos++
+	return streamline.Keyed[float64]{Ts: i, Key: uint64(i % 5), Value: 1}, streamline.ReadData
+}
+
+func (r *flakyOnceReader) Snapshot() ([]byte, error) {
+	return binary.AppendVarint(nil, r.pos), nil
+}
+
+func (r *flakyOnceReader) Restore(blob []byte) error {
+	pos, n := binary.Varint(blob)
+	if n <= 0 {
+		return errors.New("flakyOnceReader: bad cursor")
+	}
+	r.pos = pos
+	return nil
+}
+
+func (r *flakyOnceReader) Err() error { return r.err }
+
+// corruptNewerBackend serves the newest stored snapshot together with an
+// error, the way a file backend reports a corrupt newer checkpoint file
+// while falling back to the newest readable one. It records the checkpoint
+// IDs it served.
+type corruptNewerBackend struct {
+	streamline.Backend
+	mu     sync.Mutex
+	served []int64
+}
+
+func (b *corruptNewerBackend) Latest() (*streamline.Snapshot, bool, error) {
+	snap, ok, err := b.Backend.Latest()
+	if !ok {
+		return snap, ok, err
+	}
+	b.mu.Lock()
+	b.served = append(b.served, snap.CheckpointID)
+	b.mu.Unlock()
+	return snap, true, errors.New("checkpoint file newer than this one is corrupt")
+}
+
+// TestSupervisorRestoresReadableCheckpointDespiteCorruption: when the
+// backend returns a readable snapshot alongside an error about a corrupt
+// newer one, the supervisor must resume from that snapshot — not from the
+// job's initial state — and the output must stay exactly-once.
+func TestSupervisorRestoresReadableCheckpointDespiteCorruption(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	const total, failAt = 3000, 1500
+
+	mem := streamline.NewMemoryBackend(0)
+	var failed atomic.Bool
+	build := func(src streamline.Source[float64]) (*streamline.Env, *streamline.Results[float64]) {
+		env := streamline.New(streamline.WithParallelism(1))
+		s := streamline.From(env, "flaky", streamline.Paced(src, 20_000), streamline.WithSourceParallelism(1))
+		keyed := streamline.KeyByRecord(s, "key", func(k streamline.Keyed[float64]) uint64 { return k.Key })
+		sums := streamline.ReduceByKey(keyed, "sum", func(acc, v float64) float64 { return acc + v }, false)
+		return env, streamline.Collect(sums, "out")
+	}
+
+	refEnv, refOut := build(streamline.Generator(total, func(_, _ int, i int64) streamline.Keyed[float64] {
+		return streamline.Keyed[float64]{Ts: i, Key: uint64(i % 5), Value: 1}
+	}))
+	if err := refEnv.Execute(ctx); err != nil {
+		t.Fatalf("reference run: %v", err)
+	}
+
+	flaky := flakyOnceSource{total: total, failAt: failAt, failed: &failed, ckpts: mem}
+	env, out := build(flaky)
+	backend := &corruptNewerBackend{Backend: mem}
+	sup, err := transport.NewSupervisor(transport.Config{
+		Graph:             env.Graph(),
+		Chaining:          env.Chaining(),
+		Workers:           1,
+		Backend:           backend,
+		Interval:          10 * time.Millisecond,
+		HeartbeatInterval: 20 * time.Millisecond,
+		HeartbeatTimeout:  2 * time.Second,
+	}, transport.SupervisionPolicy{
+		MaxRestarts:  3,
+		BaseBackoff:  5 * time.Millisecond,
+		MaxBackoff:   20 * time.Millisecond,
+		RejoinWindow: 2 * time.Second,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	workerDone := make(chan struct{})
+	go func() {
+		defer close(workerDone)
+		_ = transport.RunWorkerLoop(ctx, sup.Addr(), nil, func(string, []string) (*dataflow.Graph, bool, error) {
+			e, _ := build(flaky)
+			return e.Graph(), e.Chaining(), nil
+		}, transport.WithWorkerDialPolicy(transport.DialPolicy{BaseDelay: 5 * time.Millisecond, MaxWait: 5 * time.Second}))
+	}()
+	if err := sup.Run(ctx); err != nil {
+		t.Fatalf("supervised run: %v", err)
+	}
+	<-workerDone
+
+	stats := sup.Stats()
+	if len(stats) != 1 || len(backend.served) != 1 {
+		t.Fatalf("want one restart and one Latest call, got stats %+v, served %v", stats, backend.served)
+	}
+	if got, want := stats[0].Checkpoint, backend.served[0]; got != want {
+		t.Fatalf("restart resumed from checkpoint %d, want the readable snapshot %d the backend returned", got, want)
+	}
+	if got, want := renderSums(out), renderSums(refOut); got != want {
+		t.Fatalf("output diverged from the unfaulted run (exactly-once violated):\ngot:\n%s\nwant:\n%s", got, want)
 	}
 }

@@ -47,7 +47,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/dataflow"
 	"repro/internal/state"
 )
@@ -145,7 +144,7 @@ type planMsg struct {
 	// Spec is the coordinator's structural plan; Fingerprint is its
 	// digest. The worker refuses to run if its locally built graph
 	// fingerprints differently — mismatched binaries or arguments.
-	Spec        core.PlanSpec
+	Spec        dataflow.PlanSpec
 	Fingerprint string
 	// Placement maps (node, subtask) -> participant; identical everywhere.
 	Placement dataflow.Placement

@@ -11,7 +11,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/dataflow"
 	"repro/internal/metrics"
 )
@@ -133,7 +132,7 @@ func RunWorker(ctx context.Context, coordAddr string, reg *metrics.Registry, bui
 	if err != nil {
 		return abort(fmt.Errorf("worker: build pipeline %q: %w", p.Pipeline, err))
 	}
-	if fp := core.SpecOf(g, chaining).Fingerprint(); fp != p.Fingerprint {
+	if fp := dataflow.SpecOf(g, chaining).Fingerprint(); fp != p.Fingerprint {
 		return abort(fmt.Errorf("worker: plan fingerprint mismatch: local %.12s vs coordinator %.12s", fp, p.Fingerprint))
 	}
 

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/dataflow"
 )
 
@@ -84,9 +83,23 @@ type generatorSource[T any] struct {
 
 func (g generatorSource[T]) Open(sub, par int) Reader[T] {
 	return &generatorReader[T]{
-		n:   core.SplitCount(g.count, sub, par),
+		n:   splitCount(g.count, sub, par),
 		gen: func(i int64) Keyed[T] { return g.gen(sub, par, i) },
 	}
+}
+
+// splitCount divides a bounded record count across parallelism subtasks,
+// handing the remainder to the lowest subtask indices. Non-positive counts
+// (unbounded or empty sources) pass through unchanged.
+func splitCount(count int64, subtask, parallelism int) int64 {
+	if count <= 0 {
+		return count
+	}
+	c := count / int64(parallelism)
+	if int64(subtask) < count%int64(parallelism) {
+		c++
+	}
+	return c
 }
 
 type generatorReader[T any] struct {

@@ -10,7 +10,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/dataflow"
 	"repro/internal/metrics"
 	"repro/internal/transport"
@@ -27,31 +26,39 @@ const WorkerEnvVar = "STREAMLINE_WORKER"
 // WithWorkers makes ExecuteDistributed split the job across n worker
 // processes plus the coordinator (this process, which keeps all sinks and
 // live local sources). n == 0 (the default) runs single-process.
-func WithWorkers(n int) Option { return core.WithWorkers(n) }
+func WithWorkers(n int) Option {
+	return func(e *Env) { e.workers = n }
+}
 
 // WithListenAddr sets the coordinator's control listen address for
 // distributed runs (default: an ephemeral loopback port). Use a fixed
 // address when workers are started externally, e.g. "127.0.0.1:7171".
-func WithListenAddr(addr string) Option { return core.WithListenAddr(addr) }
+func WithListenAddr(addr string) Option {
+	return func(e *Env) { e.listenAddr = addr }
+}
 
 // WithSelfSpawn makes ExecuteDistributed start its own workers by
 // re-executing the current binary with WorkerEnvVar set. The re-executed
 // process runs the same main, builds the same pipeline, and its
 // ExecuteDistributed call becomes the worker share — after which the child
 // process exits rather than returning into a main that expects results.
-func WithSelfSpawn() Option { return core.WithSelfSpawn() }
+func WithSelfSpawn() Option {
+	return func(e *Env) { e.selfSpawn = true }
+}
 
 // WithPipelineRef names the registered pipeline externally started generic
 // workers (RunRegisteredWorker) rebuild, with the arguments to rebuild it
 // from. Unnecessary with WithSelfSpawn.
 func WithPipelineRef(name string, args ...string) Option {
-	return core.WithPipelineRef(name, args...)
+	return func(e *Env) { e.pipeline, e.pipeArgs = name, args }
 }
 
 // WithOnListen registers a callback invoked with the coordinator's bound
 // control address once it is listening — the way to learn an ephemeral
 // port so externally started workers (or test goroutines) can dial in.
-func WithOnListen(f func(addr string)) Option { return core.WithOnListen(f) }
+func WithOnListen(f func(addr string)) Option {
+	return func(e *Env) { e.onListen = f }
+}
 
 // WithSupervision makes ExecuteDistributed self-healing: on any failure —
 // worker crash, lost or blackholed connection, local error — the
@@ -63,7 +70,16 @@ func WithOnListen(f func(addr string)) Option { return core.WithOnListen(f) }
 // restart (doubling per consecutive restart, with jitter) and the delay
 // cap. ExecuteSupervised implies this option with defaults.
 func WithSupervision(maxRestarts int, backoff ...time.Duration) Option {
-	return core.WithSupervision(maxRestarts, backoff...)
+	return func(e *Env) {
+		e.supervise = true
+		e.maxRestarts = maxRestarts
+		if len(backoff) > 0 {
+			e.backoffBase = backoff[0]
+		}
+		if len(backoff) > 1 {
+			e.backoffMax = backoff[1]
+		}
+	}
 }
 
 // WithHeartbeat tunes distributed failure detection: coordinator and
@@ -71,13 +87,15 @@ func WithSupervision(maxRestarts int, backoff ...time.Duration) Option {
 // timeout a dead peer — including the hung-but-open TCP case a plain
 // connection drop never reports. Defaults: 1s interval, 4s timeout.
 func WithHeartbeat(interval, timeout time.Duration) Option {
-	return core.WithHeartbeat(interval, timeout)
+	return func(e *Env) { e.hbInterval, e.hbTimeout = interval, timeout }
 }
 
 // WithRejoinWindow bounds how long a supervised recovery waits for the full
 // worker complement to redial before degrading onto the survivors
 // (default 3s; self-spawn mode always respawns the full complement).
-func WithRejoinWindow(d time.Duration) Option { return core.WithRejoinWindow(d) }
+func WithRejoinWindow(d time.Duration) Option {
+	return func(e *Env) { e.rejoinWindow = d }
+}
 
 // RestartStat is one completed supervised recovery: cause, detect and
 // restore instants, the Downtime between them (detect→restored MTTR), the
@@ -132,7 +150,7 @@ func (e *Env) ExecuteDistributedRestored(ctx context.Context, snap *Snapshot) er
 // reload from the backend, re-execute. RestartStats reports the recovery
 // trajectory afterwards.
 func (e *Env) ExecuteSupervised(ctx context.Context) error {
-	e.core.EnsureSupervision()
+	e.supervise = true
 	return e.executeDistributed(ctx, nil)
 }
 
@@ -142,10 +160,9 @@ func (e *Env) ExecuteSupervised(ctx context.Context) error {
 func (e *Env) RestartStats() []RestartStat { return e.restartStats }
 
 func (e *Env) executeDistributed(ctx context.Context, snap *Snapshot) error {
-	if err := e.core.BuildErr(); err != nil {
-		return err
+	if e.buildErr != nil {
+		return e.buildErr
 	}
-	supervised, maxRestarts, backoffBase, backoffMax := e.core.Supervision()
 	if addr := os.Getenv(WorkerEnvVar); addr != "" {
 		// Self-spawned child: this very code built the identical pipeline,
 		// so the env itself is the build product. The share must not return
@@ -153,7 +170,7 @@ func (e *Env) executeDistributed(ctx context.Context, snap *Snapshot) error {
 		// is clean — the supervising parent respawns a fresh process per
 		// epoch rather than having children redial.
 		err := transport.RunWorker(ctx, addr, e.Metrics(), func(string, []string) (*dataflow.Graph, bool, error) {
-			return e.core.Graph(), e.core.Chaining(), nil
+			return e.graph, e.chaining, nil
 		})
 		if err != nil && !errors.Is(err, transport.ErrRejoin) {
 			fmt.Fprintln(os.Stderr, "streamline worker:", err)
@@ -161,32 +178,26 @@ func (e *Env) executeDistributed(ctx context.Context, snap *Snapshot) error {
 		}
 		os.Exit(0)
 	}
-	workers := e.core.Workers()
+	workers := e.workers
 	if workers <= 0 {
-		if !supervised {
-			if snap != nil {
-				return e.core.ExecuteRestored(ctx, snap)
-			}
-			return e.core.Execute(ctx)
+		if !e.supervise {
+			return e.run(ctx, snap)
 		}
-		return e.executeSupervisedLocal(ctx, snap, maxRestarts, backoffBase, backoffMax)
+		return e.executeSupervisedLocal(ctx, snap)
 	}
-	backend, every := e.core.Backend()
-	pipeline, args := e.core.PipelineRef()
-	hbInterval, hbTimeout := e.core.Heartbeat()
 	cfg := transport.Config{
-		Graph:             e.core.Graph(),
-		Chaining:          e.core.Chaining(),
+		Graph:             e.graph,
+		Chaining:          e.chaining,
 		Workers:           workers,
-		Backend:           backend,
-		Interval:          every,
+		Backend:           e.backend,
+		Interval:          e.ckptEvery,
 		Restore:           snap,
-		Pipeline:          pipeline,
-		Args:              args,
+		Pipeline:          e.pipeline,
+		Args:              e.pipeArgs,
 		Registry:          e.Metrics(),
-		ListenAddr:        e.core.ListenAddr(),
-		HeartbeatInterval: hbInterval,
-		HeartbeatTimeout:  hbTimeout,
+		ListenAddr:        e.listenAddr,
+		HeartbeatInterval: e.hbInterval,
+		HeartbeatTimeout:  e.hbTimeout,
 	}
 	spawnChild := func(addr string) (*exec.Cmd, error) {
 		cmd := exec.CommandContext(ctx, os.Args[0], os.Args[1:]...)
@@ -198,16 +209,16 @@ func (e *Env) executeDistributed(ctx context.Context, snap *Snapshot) error {
 		return cmd, nil
 	}
 
-	if !supervised {
+	if !e.supervise {
 		coord, err := transport.NewCoordinator(cfg)
 		if err != nil {
 			return err
 		}
-		if f := e.core.OnListen(); f != nil {
-			f(coord.Addr())
+		if e.onListen != nil {
+			e.onListen(coord.Addr())
 		}
 		var spawned []*exec.Cmd
-		if e.core.SelfSpawn() {
+		if e.selfSpawn {
 			for i := 0; i < workers; i++ {
 				cmd, err := spawnChild(coord.Addr())
 				if err != nil {
@@ -221,7 +232,7 @@ func (e *Env) executeDistributed(ctx context.Context, snap *Snapshot) error {
 			}
 		}
 		runErr := coord.Run(ctx)
-		e.core.NoteDistributedCheckpoints(coord.CompletedCheckpoints())
+		e.distCompleted += coord.CompletedCheckpoints()
 		// Children exit on their own once their share (or the abort) lands:
 		// Run has closed every control connection by now, which unblocks them.
 		for _, c := range spawned {
@@ -231,10 +242,10 @@ func (e *Env) executeDistributed(ctx context.Context, snap *Snapshot) error {
 	}
 
 	sup, err := transport.NewSupervisor(cfg, transport.SupervisionPolicy{
-		MaxRestarts:  maxRestarts,
-		BaseBackoff:  backoffBase,
-		MaxBackoff:   backoffMax,
-		RejoinWindow: e.core.RejoinWindow(),
+		MaxRestarts:  e.maxRestarts,
+		BaseBackoff:  e.backoffBase,
+		MaxBackoff:   e.backoffMax,
+		RejoinWindow: e.rejoinWindow,
 	})
 	if err != nil {
 		return err
@@ -242,7 +253,7 @@ func (e *Env) executeDistributed(ctx context.Context, snap *Snapshot) error {
 	// Spawn/Reap run sequentially on the supervisor's goroutine: each epoch
 	// respawns the full complement after waiting out the previous one.
 	var procs []*exec.Cmd
-	if e.core.SelfSpawn() {
+	if e.selfSpawn {
 		sup.Spawn = func(_ context.Context, addr string, n int) error {
 			for i := 0; i < n; i++ {
 				cmd, err := spawnChild(addr)
@@ -261,11 +272,11 @@ func (e *Env) executeDistributed(ctx context.Context, snap *Snapshot) error {
 			procs = nil
 		}
 	}
-	if f := e.core.OnListen(); f != nil {
-		f(sup.Addr())
+	if e.onListen != nil {
+		e.onListen(sup.Addr())
 	}
 	runErr := sup.Run(ctx)
-	e.core.NoteDistributedCheckpoints(sup.CompletedCheckpoints())
+	e.distCompleted += sup.CompletedCheckpoints()
 	e.restartStats = sup.Stats()
 	for _, c := range procs {
 		c.Wait()
@@ -278,7 +289,8 @@ func (e *Env) executeDistributed(ctx context.Context, snap *Snapshot) error {
 // with the same budget and backoff semantics as the distributed path. The
 // graph re-executes in-process, so Collect sinks roll back to their
 // checkpointed length and exactly-once output holds across restarts.
-func (e *Env) executeSupervisedLocal(ctx context.Context, snap *Snapshot, maxRestarts int, base, max time.Duration) error {
+func (e *Env) executeSupervisedLocal(ctx context.Context, snap *Snapshot) error {
+	maxRestarts, base, max := e.maxRestarts, e.backoffBase, e.backoffMax
 	if maxRestarts == 0 {
 		maxRestarts = 5
 	}
@@ -291,16 +303,10 @@ func (e *Env) executeSupervisedLocal(ctx context.Context, snap *Snapshot, maxRes
 	if max <= 0 {
 		max = 5 * time.Second
 	}
-	backend, _ := e.core.Backend()
 	restore := snap
 	e.restartStats = nil
 	for attempt := 0; ; attempt++ {
-		var err error
-		if restore != nil {
-			err = e.core.ExecuteRestored(ctx, restore)
-		} else {
-			err = e.core.Execute(ctx)
-		}
+		err := e.run(ctx, restore)
 		if err == nil {
 			return nil
 		}
@@ -321,8 +327,11 @@ func (e *Env) executeSupervisedLocal(ctx context.Context, snap *Snapshot, maxRes
 		case <-ctx.Done():
 			return err
 		}
-		if backend != nil {
-			if s, ok, lerr := backend.Latest(); lerr == nil && ok {
+		if e.backend != nil {
+			// A corrupt newer checkpoint comes back as an error alongside
+			// the newest readable one; resume from that rather than from
+			// scratch.
+			if s, ok, _ := e.backend.Latest(); ok {
 				restore = s
 			}
 		}
@@ -360,10 +369,10 @@ func buildFromEnv(build func(pipeline string, args []string) (*Env, error)) tran
 		if err != nil {
 			return nil, false, err
 		}
-		if err := env.core.BuildErr(); err != nil {
-			return nil, false, err
+		if env.buildErr != nil {
+			return nil, false, env.buildErr
 		}
-		return env.core.Graph(), env.core.Chaining(), nil
+		return env.graph, env.chaining, nil
 	}
 }
 

@@ -33,9 +33,7 @@
 // WithSourceParallelism, WithWatermarkEvery and WithWatermarkLag (event
 // time cadence and bounded-disorder allowance), and WithTimestamps (an
 // extractor re-stamping records with event time taken from the values).
-// FromChannel, FromJSONL and FromCSV are one-line sugar over From; the
-// legacy FromSlice/FromGenerator/FromPacedGenerator trio remains as
-// deprecated wrappers that lower through the same path.
+// FromChannel, FromJSONL and FromCSV are one-line sugar over From.
 //
 // # The splittable at-rest scan
 //
@@ -105,16 +103,34 @@
 // (MultiRestorer additionally lets a connector's state redistribute across
 // a different source parallelism, the way the file connectors do).
 //
-// # Lowering
+// # Lowering and the optimizer
 //
-// Every typed operator and connector lowers onto the untyped record engine
-// in internal/core and internal/dataflow, boxing values at operator
-// boundaries. The facade therefore inherits the optimizer unchanged:
-// operator chaining, adaptive combiner insertion before hash shuffles,
-// architecture-sized parallelism, and Cutty multi-query window sharing all
-// fire exactly as they do for hand-built untyped plans — a typed layer
-// compiled onto an untyped dataflow, in the tradition of Flink's
-// TypeInformation machinery.
+// Every typed operator and connector lowers straight onto the untyped
+// record engine's job graph (internal/dataflow), boxing values at operator
+// boundaries — a typed layer compiled onto an untyped dataflow, in the
+// tradition of Flink's TypeInformation machinery. One Env holds that graph
+// and every setting, so whether the input is a bounded collection (batch)
+// or an unbounded source (stream), the identical plan runs on the identical
+// pipelined engine, with none of the dual-system architecture (and its
+// "system and human latency") the paper argues against. Env.Graph exposes
+// the lowered plan.
+//
+// The paper promises a model that "can automatically be optimized,
+// parallelized, and adopted to the system load, data distribution, and
+// architecture". The lowering applies exactly those levers:
+//
+//   - operator chaining: forward edges fuse into one goroutine
+//     (WithChaining), and runs of Map/Filter/FlatMap fuse into one typed
+//     operator (WithStageFusion);
+//   - automatic combiner (pre-aggregation) insertion before the hash
+//     shuffle of ReduceByKey, with a runtime-adaptive mode that samples the
+//     key distribution and combines only when duplicate keys make it
+//     profitable (WithCombiner);
+//   - parallelism defaulting to the machine's CPU count, capped at 4
+//     (architecture), with per-source overrides (WithParallelism,
+//     WithSourceParallelism);
+//   - Cutty-backed window aggregation, sharing slices across all window
+//     queries of one WindowAggregate call.
 //
 // # Windows
 //

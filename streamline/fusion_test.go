@@ -43,7 +43,7 @@ func buildFusedPipeline(n int64, opts ...streamline.Option) (*streamline.Env, *s
 // run). With fusion off every stage lowers to its own node.
 func TestStageFusionPlanShape(t *testing.T) {
 	fusedEnv, _ := buildFusedPipeline(10)
-	fusedPlan := planString(fusedEnv.Core().Graph())
+	fusedPlan := planString(fusedEnv.Graph())
 	if !strings.Contains(fusedPlan, "scale+band+split+final") {
 		t.Fatalf("fused plan lacks the concatenated stage node:\n%s", fusedPlan)
 	}
@@ -56,12 +56,12 @@ func TestStageFusionPlanShape(t *testing.T) {
 	}
 
 	againEnv, _ := buildFusedPipeline(10)
-	if again := planString(againEnv.Core().Graph()); again != fusedPlan {
+	if again := planString(againEnv.Graph()); again != fusedPlan {
 		t.Fatalf("fused plan is not deterministic:\nfirst:\n%s\nsecond:\n%s", fusedPlan, again)
 	}
 
 	plainEnv, _ := buildFusedPipeline(10, streamline.WithStageFusion(false))
-	plainPlan := planString(plainEnv.Core().Graph())
+	plainPlan := planString(plainEnv.Graph())
 	if strings.Contains(plainPlan, "+") {
 		t.Fatalf("fusion disabled but plan has a fused node:\n%s", plainPlan)
 	}
@@ -114,7 +114,7 @@ func TestStageFusionStopsAtBranches(t *testing.T) {
 	right := streamline.Map(shared, "right", func(v float64) float64 { return v * 3 })
 	lo := streamline.Collect(left, "lo")
 	ro := streamline.Collect(right, "ro")
-	plan := planString(env.Core().Graph())
+	plan := planString(env.Graph())
 	if !strings.Contains(plan, "shared/") {
 		t.Fatalf("branch point was fused away:\n%s", plan)
 	}
@@ -162,7 +162,7 @@ func TestFusedChainCheckpointRestore(t *testing.T) {
 	}
 
 	refEnv, refOut := build(0)
-	if plan := planString(refEnv.Core().Graph()); !strings.Contains(plan, "scale+keep+final") {
+	if plan := planString(refEnv.Graph()); !strings.Contains(plan, "scale+keep+final") {
 		t.Fatalf("recovery pipeline is not fused:\n%s", plan)
 	}
 	execute(t, refEnv.Execute)

@@ -154,9 +154,9 @@ func From[T any](env *Env, name string, src Source[T], opts ...SourceOption) *St
 	if cfg.ts != nil {
 		f, ok := cfg.ts.(func(T) int64)
 		if !ok {
-			env.core.Fail(fmt.Errorf("streamline: From %q: WithTimestamps extractor is %T, want func(%s) int64",
+			env.fail(fmt.Errorf("streamline: From %q: WithTimestamps extractor is %T, want func(%s) int64",
 				name, cfg.ts, typeName[T]()))
-			return &Stream[T]{env: env, inner: env.core.FromSource(name, cfg.parallelism, emptySourceFactory)}
+			return &Stream[T]{env: env, node: env.addSource(name, cfg.parallelism, emptySourceFactory)}
 		}
 		ts = f
 	}
@@ -184,7 +184,7 @@ func From[T any](env *Env, name string, src Source[T], opts ...SourceOption) *St
 		}
 		return l
 	}
-	return &Stream[T]{env: env, inner: env.core.FromSource(name, cfg.parallelism, factory)}
+	return &Stream[T]{env: env, node: env.addSource(name, cfg.parallelism, factory)}
 }
 
 // preferredParallelism reads a source's parallelism hint, if it carries one.

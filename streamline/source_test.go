@@ -5,86 +5,12 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/streamline"
 )
-
-// The acceptance bar of the connector redesign: From with the Slice
-// connector must build the exact same job graph as the legacy FromSlice —
-// the deprecated constructors are thin wrappers, not a parallel code path.
-func TestSliceConnectorPlanIdentity(t *testing.T) {
-	items := []float64{1, 2, 3, 4, 5, 6, 7}
-	build := func(useConnector bool) (*streamline.Env, *streamline.Results[float64]) {
-		env := streamline.New(streamline.WithParallelism(2))
-		var src *streamline.Stream[float64]
-		if useConnector {
-			src = streamline.From(env, "src", streamline.Slice(items))
-		} else {
-			src = streamline.FromSlice(env, "src", items)
-		}
-		keyed := streamline.KeyBy(src, "key", func(v float64) uint64 { return uint64(v) % 2 })
-		sums := streamline.ReduceByKey(keyed, "sum", func(acc, v float64) float64 { return acc + v }, false)
-		return env, streamline.Collect(sums, "out")
-	}
-
-	newEnv, newOut := build(true)
-	oldEnv, oldOut := build(false)
-	newPlan := planString(newEnv.Core().Graph())
-	oldPlan := planString(oldEnv.Core().Graph())
-	if newPlan != oldPlan {
-		t.Fatalf("plans differ:\nFrom+Slice:\n%s\nFromSlice:\n%s", newPlan, oldPlan)
-	}
-
-	execute(t, newEnv.Execute)
-	execute(t, oldEnv.Execute)
-	sums := func(res *streamline.Results[float64]) map[uint64]float64 {
-		out := map[uint64]float64{}
-		for _, k := range res.Records() {
-			out[k.Key] += k.Value
-		}
-		return out
-	}
-	got, want := sums(newOut), sums(oldOut)
-	if len(got) != len(want) {
-		t.Fatalf("key counts differ: %d vs %d", len(got), len(want))
-	}
-	for k, v := range want {
-		if got[k] != v {
-			t.Fatalf("key %d: connector %v, legacy %v", k, got[k], v)
-		}
-	}
-}
-
-// Generator and paced-generator wrappers must likewise lower to identical
-// plans through the connector path.
-func TestGeneratorConnectorPlanIdentity(t *testing.T) {
-	gen := func(sub, par int, i int64) streamline.Keyed[float64] {
-		return streamline.Keyed[float64]{Ts: i, Value: float64(i)}
-	}
-	plan := func(build func(env *streamline.Env) *streamline.Stream[float64]) string {
-		env := streamline.New(streamline.WithParallelism(2))
-		streamline.Sink(build(env), "out", func(streamline.Keyed[float64]) {})
-		return planString(env.Core().Graph())
-	}
-	if got, want := plan(func(env *streamline.Env) *streamline.Stream[float64] {
-		return streamline.From(env, "gen", streamline.Generator(100, gen), streamline.WithSourceParallelism(1))
-	}), plan(func(env *streamline.Env) *streamline.Stream[float64] {
-		return streamline.FromGenerator(env, "gen", 1, 100, gen)
-	}); got != want {
-		t.Fatalf("generator plans differ:\n%s\nvs\n%s", got, want)
-	}
-	if got, want := plan(func(env *streamline.Env) *streamline.Stream[float64] {
-		return streamline.From(env, "gen", streamline.Paced(streamline.Generator(100, gen), 1e6), streamline.WithSourceParallelism(2))
-	}), plan(func(env *streamline.Env) *streamline.Stream[float64] {
-		return streamline.FromPacedGenerator(env, "gen", 2, 100, 1e6, gen)
-	}); got != want {
-		t.Fatalf("paced plans differ:\n%s\nvs\n%s", got, want)
-	}
-}
 
 func TestChannelConnectorEndToEnd(t *testing.T) {
 	ch := make(chan streamline.Keyed[float64])
@@ -592,23 +518,6 @@ func TestHybridHandoffWatermarkFiresHistoryWindows(t *testing.T) {
 	}
 }
 
-// Sanity: the legacy wrappers still produce working pipelines (they are
-// deprecated, not removed).
-func TestDeprecatedWrappersStillWork(t *testing.T) {
-	env := streamline.New(streamline.WithParallelism(1))
-	nums := streamline.FromSlice(env, "src", []float64{3, 1, 2})
-	out := streamline.Collect(nums, "out")
-	execute(t, env.Execute)
-	var vals []float64
-	for _, k := range out.Records() {
-		vals = append(vals, k.Value)
-	}
-	sort.Float64s(vals)
-	if len(vals) != 3 || vals[0] != 1 || vals[2] != 3 {
-		t.Fatalf("vals = %v", vals)
-	}
-}
-
 // A Channel connector passed straight to From must default to a single
 // subtask (ParallelismHinter): at the environment default parallelism,
 // subtasks would split the shared channel and a subtask that never receives
@@ -621,7 +530,7 @@ func TestChannelConnectorHintsSingleSubtask(t *testing.T) {
 		env := streamline.New(streamline.WithParallelism(4))
 		src := build(env)
 		streamline.Sink(src, "out", func(streamline.Keyed[float64]) {})
-		for _, n := range env.Core().Graph().Nodes() {
+		for _, n := range env.Graph().Nodes() {
 			if n.Name == name {
 				return n.Parallelism
 			}

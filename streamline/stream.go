@@ -1,9 +1,9 @@
 package streamline
 
 import (
+	"fmt"
 	"strings"
 
-	"repro/internal/core"
 	"repro/internal/dataflow"
 )
 
@@ -23,8 +23,8 @@ type Keyed[T any] struct {
 // Stream is a typed handle to one stage of a pipeline — the unified
 // abstraction over data at rest and data in motion. All transformations
 // derive new streams; none execute until Env.Execute. Each typed operator
-// lowers to the untyped record plan, so the optimizer (chaining, combiner
-// insertion, Cutty sharing) applies unchanged.
+// lowers straight onto the engine's job graph of untyped records, where the
+// optimizer levers (chaining, combiner insertion, Cutty sharing) apply.
 //
 // Lowering is deferred for the stateless stages (Map, Filter, FlatMap): a
 // run of adjacent stages fuses into one lowered operator whose composed
@@ -37,10 +37,14 @@ type Keyed[T any] struct {
 type Stream[T any] struct {
 	env *Env
 
-	// inner is the lowered engine stream. It is set at construction for
+	// node is the lowered graph vertex. It is set at construction for
 	// materialized streams (sources, shuffles) and memoized by lower() for
 	// deferred stages.
-	inner *core.Stream
+	node *dataflow.Node
+	// keyed reports whether records carry a meaningful key (a KeyBy or a
+	// keyed operator upstream, with only stateless stages since) — what
+	// WindowAggregate and JoinWindow require.
+	keyed bool
 	// parent and stage describe a deferred stateless stage: stage applied to
 	// parent's elements. nil once lowered or for materialized streams.
 	parent fusible
@@ -78,7 +82,7 @@ type fuseStage struct {
 	// direct is the classic stage-per-node lowering, used for runs of one
 	// and when fusion is disabled — keeping those plans bit-identical to the
 	// pre-fusion layout.
-	direct func(base *core.Stream) *core.Stream
+	direct func(env *Env, base *dataflow.Node) *dataflow.Node
 }
 
 // fusible is the type-erased view of a Stream[T] the fusion walk uses to
@@ -87,7 +91,7 @@ type fuseStage struct {
 type fusible interface {
 	noteConsumer()
 	consumerCount() int
-	lowerAny() *core.Stream
+	lowerAny() *dataflow.Node
 	// pendingRun returns the stream's deferred stage and parent, reporting
 	// false once lowered or for materialized streams.
 	pendingRun() (*fuseStage, fusible, bool)
@@ -95,12 +99,12 @@ type fusible interface {
 
 func (s *Stream[T]) noteConsumer()      { s.consumers++ }
 func (s *Stream[T]) consumerCount() int { return s.consumers }
-func (s *Stream[T]) lowerAny() *core.Stream {
+func (s *Stream[T]) lowerAny() *dataflow.Node {
 	return s.lower()
 }
 
 func (s *Stream[T]) pendingRun() (*fuseStage, fusible, bool) {
-	if s.inner != nil || s.stage == nil {
+	if s.node != nil || s.stage == nil {
 		return nil, nil, false
 	}
 	return s.stage, s.parent, true
@@ -109,9 +113,9 @@ func (s *Stream[T]) pendingRun() (*fuseStage, fusible, bool) {
 // lower materializes the stream into the engine plan, fusing the maximal run
 // of pending single-consumer stages ending here into one operator. The
 // result is memoized: every consumer of this handle shares the lowered node.
-func (s *Stream[T]) lower() *core.Stream {
-	if s.inner != nil {
-		return s.inner
+func (s *Stream[T]) lower() *dataflow.Node {
+	if s.node != nil {
+		return s.node
 	}
 	// Collect the run tail-first: s's own stage, then ancestors while they
 	// are unmaterialized stages feeding only this run.
@@ -125,10 +129,10 @@ func (s *Stream[T]) lower() *core.Stream {
 		stages = append(stages, st)
 		base = p
 	}
-	cb := base.lowerAny()
+	bn := base.lowerAny()
 	if len(stages) == 1 {
-		s.inner = s.stage.direct(cb)
-		return s.inner
+		s.node = s.stage.direct(s.env, bn)
+		return s.node
 	}
 	var em any = emitFn[T](boxEmit[T])
 	names := make([]string, len(stages))
@@ -136,19 +140,21 @@ func (s *Stream[T]) lower() *core.Stream {
 		em = st.compose(em)
 		names[len(stages)-1-i] = st.name
 	}
-	head := stages[len(stages)-1]
-	s.inner = cb.FlatMap(strings.Join(names, "+"), head.entry(em))
-	return s.inner
+	f := stages[len(stages)-1].entry(em)
+	s.node = s.env.addForward(strings.Join(names, "+"), bn, func() dataflow.Operator {
+		return &dataflow.FlatMapOp{F: f}
+	})
+	return s.node
 }
 
 // derive creates the typed handle of a deferred stage over parent. With
 // fusion disabled the stage lowers immediately through its direct path.
 func derive[U, T any](parent *Stream[T], st *fuseStage) *Stream[U] {
-	if !parent.env.core.StageFusion() {
-		return &Stream[U]{env: parent.env, inner: st.direct(parent.lower())}
+	if !parent.env.fusion {
+		return &Stream[U]{env: parent.env, node: st.direct(parent.env, parent.lower()), keyed: parent.keyed}
 	}
 	parent.noteConsumer()
-	return &Stream[U]{env: parent.env, parent: parent, stage: st}
+	return &Stream[U]{env: parent.env, parent: parent, stage: st, keyed: parent.keyed}
 }
 
 // box converts a typed record to the engine representation.
@@ -163,12 +169,6 @@ func unbox[T any](r dataflow.Record) Keyed[T] {
 	return Keyed[T]{Ts: r.Ts, Key: r.Key, Value: r.Value.(T)}
 }
 
-// Inner exposes the untyped stream this handle lowers to (diagnostics and
-// interop with internal/core builders). Calling it materializes the handle,
-// so pending stages upstream fuse up to this point and later consumers build
-// on the lowered node.
-func (s *Stream[T]) Inner() *core.Stream { return s.lower() }
-
 // Map derives a stream by applying f to every element. Timestamps and keys
 // are preserved.
 func Map[T, U any](s *Stream[T], name string, f func(T) U) *Stream[U] {
@@ -181,10 +181,12 @@ func Map[T, U any](s *Stream[T], name string, f func(T) U) *Stream[U] {
 			})
 		},
 		entry: entryFor[T],
-		direct: func(base *core.Stream) *core.Stream {
-			return base.Map(name, func(r dataflow.Record) dataflow.Record {
-				r.Value = f(r.Value.(T))
-				return r
+		direct: func(env *Env, base *dataflow.Node) *dataflow.Node {
+			return env.addForward(name, base, func() dataflow.Operator {
+				return &dataflow.MapOp{F: func(r dataflow.Record) dataflow.Record {
+					r.Value = f(r.Value.(T))
+					return r
+				}}
 			})
 		},
 	})
@@ -203,9 +205,9 @@ func Filter[T any](s *Stream[T], name string, f func(T) bool) *Stream[T] {
 			})
 		},
 		entry: entryFor[T],
-		direct: func(base *core.Stream) *core.Stream {
-			return base.Filter(name, func(r dataflow.Record) bool {
-				return f(r.Value.(T))
+		direct: func(env *Env, base *dataflow.Node) *dataflow.Node {
+			return env.addForward(name, base, func() dataflow.Operator {
+				return &dataflow.FilterOp{F: func(r dataflow.Record) bool { return f(r.Value.(T)) }}
 			})
 		},
 	})
@@ -249,9 +251,11 @@ func FlatMap[T, U any](s *Stream[T], name string, f func(T, Emitter[U])) *Stream
 			})
 		},
 		entry: entryFor[T],
-		direct: func(base *core.Stream) *core.Stream {
-			return base.FlatMap(name, func(r dataflow.Record, out dataflow.Collector) {
-				f(r.Value.(T), Emitter[U]{ts: r.Ts, key: r.Key, out: out, emit: boxEmit[U]})
+		direct: func(env *Env, base *dataflow.Node) *dataflow.Node {
+			return env.addForward(name, base, func() dataflow.Operator {
+				return &dataflow.FlatMapOp{F: func(r dataflow.Record, out dataflow.Collector) {
+					f(r.Value.(T), Emitter[U]{ts: r.Ts, key: r.Key, out: out, emit: boxEmit[U]})
+				}}
 			})
 		},
 	})
@@ -260,22 +264,26 @@ func FlatMap[T, U any](s *Stream[T], name string, f func(T, Emitter[U])) *Stream
 // KeyBy re-keys every element with keyFn. The next shuffling transformation
 // (ReduceByKey, WindowAggregate, JoinWindow) partitions by this key.
 func KeyBy[T any](s *Stream[T], name string, keyFn func(T) uint64) *Stream[T] {
+	return keyBy(s, name, func(r dataflow.Record) uint64 { return keyFn(r.Value.(T)) })
+}
+
+// keyBy lowers a re-keying stage: a forward map stamping keyFn's key.
+func keyBy[T any](s *Stream[T], name string, keyFn func(dataflow.Record) uint64) *Stream[T] {
 	s.noteConsumer()
-	inner := s.lower().KeyBy(name, func(r dataflow.Record) uint64 {
-		return keyFn(r.Value.(T))
+	n := s.env.addForward(name, s.lower(), func() dataflow.Operator {
+		return &dataflow.MapOp{F: func(r dataflow.Record) dataflow.Record {
+			r.Key = keyFn(r)
+			return r
+		}}
 	})
-	return &Stream[T]{env: s.env, inner: inner}
+	return &Stream[T]{env: s.env, node: n, keyed: true}
 }
 
 // KeyByRecord re-keys every element with keyFn, which sees the full Keyed
 // record — timestamp and currently stamped key included. Use it when the
 // source already stamps a meaningful key; KeyBy is the value-only form.
 func KeyByRecord[T any](s *Stream[T], name string, keyFn func(Keyed[T]) uint64) *Stream[T] {
-	s.noteConsumer()
-	inner := s.lower().KeyBy(name, func(r dataflow.Record) uint64 {
-		return keyFn(unbox[T](r))
-	})
-	return &Stream[T]{env: s.env, inner: inner}
+	return keyBy(s, name, func(r dataflow.Record) uint64 { return keyFn(unbox[T](r)) })
 }
 
 // KeyByString re-keys every element by hashing the string keyFn extracts
@@ -292,10 +300,23 @@ func KeyOf(s string) uint64 { return dataflow.KeyOf(s) }
 // commutative function f. In bounded execution it emits one element per key
 // at the end; in continuous mode (emitEach) it emits every update. The
 // optimizer inserts a combiner before the shuffle according to the
-// environment's CombinerMode.
+// environment's CombinerMode: a "<name>-combine" operator chained onto the
+// producer side of the hash shuffle, so the shuffle moves partial aggregates
+// rather than raw records.
 func ReduceByKey(s *Stream[float64], name string, f func(acc, v float64) float64, emitEach bool) *Stream[float64] {
 	s.noteConsumer()
-	return &Stream[float64]{env: s.env, inner: s.lower().ReduceByKey(name, f, emitEach)}
+	env := s.env
+	upstream := s.lower()
+	if env.combiner != CombinerOff {
+		adaptive := env.combiner == CombinerAuto
+		upstream = env.addForward(name+"-combine", upstream, func() dataflow.Operator {
+			return &dataflow.CombinerOp{F: f, FlushEvery: 1024, Adaptive: adaptive}
+		})
+	}
+	n := env.graph.AddOperator(name, env.parallelism, func() dataflow.Operator {
+		return &dataflow.KeyedReduceOp{F: f, EmitEach: emitEach}
+	}, dataflow.Edge{From: upstream, Part: dataflow.HashPartition})
+	return &Stream[float64]{env: env, node: n, keyed: true}
 }
 
 // JoinedPair is one match of a windowed equi-join: the left and right
@@ -309,44 +330,61 @@ type JoinedPair[L, R any] struct {
 
 // JoinWindow equi-joins this stream (left) with other (right) on the
 // element key within tumbling event-time windows of the given size. Both
-// streams must be keyed (KeyBy first). The engine's join operates on
-// float64 payloads, so both sides are Stream[float64]. Unlike the other
-// operators, the lowering appends one re-typing map stage after the join;
-// it sits on a forward edge, so chaining fuses it into the join subtask.
+// streams must be keyed (KeyBy first); an unkeyed side fails the build. The
+// engine's join operates on float64 payloads, so both sides are
+// Stream[float64]. Unlike the other operators, the lowering appends one
+// re-typing map stage after the join; it sits on a forward edge, so
+// chaining fuses it into the join subtask.
 func JoinWindow(s *Stream[float64], name string, other *Stream[float64], size int64) *Stream[JoinedPair[float64, float64]] {
 	s.noteConsumer()
 	other.noteConsumer()
-	joined := s.lower().JoinWindow(name, other.lower(), size)
+	env := s.env
+	left, right := s.lower(), other.lower()
+	if !s.keyed || !other.keyed {
+		env.fail(fmt.Errorf("streamline: JoinWindow %q requires both streams keyed (call KeyBy first)", name))
+		return &Stream[JoinedPair[float64, float64]]{env: env, node: left}
+	}
+	joined := env.graph.AddOperator(name, env.parallelism, dataflow.NewWindowJoinOp(size),
+		dataflow.Edge{From: left, Part: dataflow.HashPartition},
+		dataflow.Edge{From: right, Part: dataflow.HashPartition},
+	)
 	// Rebox the engine's pair type into the typed pair on a chained edge.
-	inner := joined.Map(name+"-typed", func(r dataflow.Record) dataflow.Record {
-		p := r.Value.(dataflow.JoinedPair)
-		r.Value = JoinedPair[float64, float64]{
-			WindowStart: p.WindowStart,
-			WindowEnd:   p.WindowEnd,
-			Left:        p.Left,
-			Right:       p.Right,
-		}
-		return r
+	n := env.addForward(name+"-typed", joined, func() dataflow.Operator {
+		return &dataflow.MapOp{F: func(r dataflow.Record) dataflow.Record {
+			p := r.Value.(dataflow.JoinedPair)
+			r.Value = JoinedPair[float64, float64]{
+				WindowStart: p.WindowStart,
+				WindowEnd:   p.WindowEnd,
+				Left:        p.Left,
+				Right:       p.Right,
+			}
+			return r
+		}}
 	})
-	return &Stream[JoinedPair[float64, float64]]{env: s.env, inner: inner}
+	return &Stream[JoinedPair[float64, float64]]{env: env, node: n, keyed: true}
 }
 
 // Union merges this stream with others of the same element type (no
 // ordering guarantee).
 func Union[T any](s *Stream[T], name string, others ...*Stream[T]) *Stream[T] {
 	s.noteConsumer()
-	rest := make([]*core.Stream, len(others))
-	for i, o := range others {
+	edges := []dataflow.Edge{{From: s.lower(), Part: dataflow.Rebalance}}
+	for _, o := range others {
 		o.noteConsumer()
-		rest[i] = o.lower()
+		edges = append(edges, dataflow.Edge{From: o.lower(), Part: dataflow.Rebalance})
 	}
-	return &Stream[T]{env: s.env, inner: s.lower().Union(name, rest...)}
+	n := s.env.graph.AddOperator(name, s.env.parallelism, func() dataflow.Operator {
+		return &dataflow.MapOp{F: func(r dataflow.Record) dataflow.Record { return r }}
+	}, edges...)
+	return &Stream[T]{env: s.env, node: n}
 }
 
 // Sink terminates the stream invoking f for every element.
 func Sink[T any](s *Stream[T], name string, f func(Keyed[T])) {
 	s.noteConsumer()
-	s.lower().Sink(name, func(r dataflow.Record) { f(unbox[T](r)) })
+	s.env.addSink(name, s.lower(), func() dataflow.Operator {
+		return &dataflow.FuncSink{F: func(r dataflow.Record) { f(unbox[T](r)) }}
+	})
 }
 
 // Results holds the records a Collect terminal gathered; read it after
@@ -368,5 +406,7 @@ func (c *Results[T]) Records() []Keyed[T] {
 // Collect terminates the stream into an in-memory Results handle.
 func Collect[T any](s *Stream[T], name string) *Results[T] {
 	s.noteConsumer()
-	return &Results[T]{sink: s.lower().Collect(name)}
+	sink := &dataflow.CollectSink{}
+	s.env.addSink(name, s.lower(), sink.Factory())
+	return &Results[T]{sink: sink}
 }

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"repro/internal/agg"
-	"repro/internal/core"
 	"repro/internal/dataflow"
 	"repro/internal/window"
 	"repro/streamline"
@@ -42,10 +41,10 @@ func planString(g *dataflow.Graph) string {
 // generator -> keyBy -> two-query window aggregate -> collect.
 func buildTypedWindowed(n int64) (*streamline.Env, *streamline.Results[streamline.WindowResult]) {
 	env := streamline.New(streamline.WithParallelism(2))
-	src := streamline.FromGenerator(env, "gen", 1, n,
+	src := streamline.From(env, "gen", streamline.Generator(n,
 		func(sub, par int, i int64) streamline.Keyed[float64] {
 			return streamline.Keyed[float64]{Ts: i, Value: float64(i)}
-		})
+		}), streamline.WithSourceParallelism(1))
 	keyed := streamline.KeyBy(src, "key", func(v float64) uint64 { return uint64(v) % 5 })
 	win := streamline.WindowAggregate(keyed, "win",
 		streamline.Query(streamline.Tumbling(30), streamline.Sum()),
@@ -54,20 +53,48 @@ func buildTypedWindowed(n int64) (*streamline.Env, *streamline.Results[streamlin
 	return env, streamline.Collect(win, "out")
 }
 
-// buildUntypedWindowed is the identical pipeline hand-built on the untyped
-// internal/core API.
-func buildUntypedWindowed(n int64) (*core.Environment, *dataflow.CollectSink) {
-	env := core.NewEnvironment(core.WithParallelism(2))
-	sink := env.FromGenerator("gen", 1, n, func(sub, par int, i int64) dataflow.Record {
-		return dataflow.Data(i, 0, float64(i))
-	}).
-		KeyBy("key", func(r dataflow.Record) uint64 { return uint64(r.Value.(float64)) % 5 }).
-		WindowAggregate("win",
-			core.WindowedQuery{Window: window.Tumbling(30), Fn: agg.SumF64()},
-			core.WindowedQuery{Window: window.Sliding(60, 30), Fn: agg.CountF64()},
-		).
-		Collect("out")
-	return env, sink
+// handGraph starts a hand-built engine graph shaped like the typed lowering
+// of a one-subtask generator source of n float64 values (value i at event
+// time i) followed by KeyBy(v % 5) — the shared prefix of the typed
+// equivalence tests' pipelines.
+func handGraph(n int64) (*dataflow.Graph, *dataflow.Node) {
+	g := dataflow.NewGraph("streamline")
+	src := g.AddSource("gen", 1, func(sub, par int) dataflow.SourceFunc {
+		return &dataflow.GenSource{N: n, Gen: func(i int64) dataflow.Record {
+			return dataflow.Data(i, 0, float64(i))
+		}}
+	})
+	key := g.AddOperator("key", 1, func() dataflow.Operator {
+		return &dataflow.MapOp{F: func(r dataflow.Record) dataflow.Record {
+			r.Key = uint64(r.Value.(float64)) % 5
+			return r
+		}}
+	}, dataflow.Edge{From: src, Part: dataflow.Forward})
+	return g, key
+}
+
+// handCollect terminates a hand-built graph the way Collect lowers: a pinned
+// parallelism-1 collect sink on a rebalance edge. It runs the graph and
+// returns the collected records.
+func handCollect(t *testing.T, g *dataflow.Graph, in *dataflow.Node) []dataflow.Record {
+	t.Helper()
+	sink := &dataflow.CollectSink{}
+	out := g.AddOperator("out", 1, sink.Factory(), dataflow.Edge{From: in, Part: dataflow.Rebalance})
+	out.Pinned = true
+	execute(t, dataflow.NewJob(g).Run)
+	return sink.Records()
+}
+
+// assertSamePlan checks that a typed pipeline lowered to exactly the
+// hand-built graph: equal plan fingerprints (node names, parallelism,
+// source and pinned flags, edges and their partitioning, graph settings).
+func assertSamePlan(t *testing.T, typed *streamline.Env, hand *dataflow.Graph) {
+	t.Helper()
+	got := dataflow.SpecOf(typed.Graph(), typed.Chaining()).Fingerprint()
+	want := dataflow.SpecOf(hand, true).Fingerprint()
+	if got != want {
+		t.Fatalf("plans differ:\ntyped:\n%s\nhand-built:\n%s", planString(typed.Graph()), planString(hand))
+	}
 }
 
 type resultKey struct {
@@ -75,10 +102,10 @@ type resultKey struct {
 	wr  streamline.WindowResult
 }
 
-// TestTypedUntypedEquivalence runs the quickstart pipeline through both the
-// typed facade and the untyped substrate and asserts identical window
-// results AND identical plans — so chaining, combiner decisions, and Cutty
-// window sharing fire the same way for both.
+// TestTypedUntypedEquivalence runs the quickstart pipeline on the typed API
+// and the same plan hand-built on the engine graph, and asserts identical
+// window results AND identical plans — so chaining and Cutty window sharing
+// fire as the hand-built plan specifies.
 func TestTypedUntypedEquivalence(t *testing.T) {
 	const n = 300
 
@@ -89,10 +116,14 @@ func TestTypedUntypedEquivalence(t *testing.T) {
 		typed[resultKey{key: k.Key, wr: k.Value}]++
 	}
 
-	untypedEnv, untypedSink := buildUntypedWindowed(n)
-	execute(t, untypedEnv.Execute)
+	g, key := handGraph(n)
+	// Both queries go to one window node: Cutty shares slices between them.
+	win := g.AddOperator("win", 2, dataflow.NewWindowOp(
+		dataflow.WindowQuery{Spec: window.Tumbling(30), Fn: agg.SumF64()},
+		dataflow.WindowQuery{Spec: window.Sliding(60, 30), Fn: agg.CountF64()},
+	), dataflow.Edge{From: key, Part: dataflow.HashPartition})
 	untyped := map[resultKey]int{}
-	for _, r := range untypedSink.Records() {
+	for _, r := range handCollect(t, g, win) {
 		untyped[resultKey{key: r.Key, wr: r.Value.(streamline.WindowResult)}]++
 	}
 
@@ -107,61 +138,41 @@ func TestTypedUntypedEquivalence(t *testing.T) {
 			t.Fatalf("result %+v: typed count %d, untyped count %d", rk, typed[rk], c)
 		}
 	}
-
-	// Plan identity: the typed facade must lower to the exact same job graph
-	// (same nodes, parallelism, partitioning), so the optimizer sees no
-	// difference. In particular both plans share one window operator for the
-	// two queries (Cutty sharing).
-	typedPlan := planString(typedEnv.Core().Graph())
-	untypedPlan := planString(untypedEnv.Graph())
-	if typedPlan != untypedPlan {
-		t.Fatalf("plans differ:\ntyped:\n%s\nuntyped:\n%s", typedPlan, untypedPlan)
-	}
-	if got := strings.Count(typedPlan, "win/"); got != 1 {
-		t.Fatalf("expected 1 shared window operator for 2 queries, plan has %d:\n%s", got, typedPlan)
-	}
+	assertSamePlan(t, typedEnv, g)
 }
 
-// TestTypedUntypedCombinerParity asserts that the optimizer's combiner
-// insertion fires identically for typed and untyped reduce pipelines: same
-// plan (including the sum-combine node) and same sums.
+// TestTypedUntypedCombinerParity asserts the optimizer's combiner insertion
+// on a typed reduce: a "sum-combine" node on a forward edge right before the
+// hash edge into the reduce, exactly as hand-built, and the same sums.
 func TestTypedUntypedCombinerParity(t *testing.T) {
 	const n = 500
+	sum := func(acc, v float64) float64 { return acc + v }
 
 	typedEnv := streamline.New(streamline.WithParallelism(2), streamline.WithCombiner(streamline.CombinerOn))
-	src := streamline.FromGenerator(typedEnv, "gen", 1, n,
+	src := streamline.From(typedEnv, "gen", streamline.Generator(n,
 		func(sub, par int, i int64) streamline.Keyed[float64] {
 			return streamline.Keyed[float64]{Ts: i, Value: float64(i)}
-		})
+		}), streamline.WithSourceParallelism(1))
 	keyed := streamline.KeyBy(src, "key", func(v float64) uint64 { return uint64(v) % 5 })
-	sums := streamline.ReduceByKey(keyed, "sum", func(acc, v float64) float64 { return acc + v }, false)
-	typedOut := streamline.Collect(sums, "out")
+	typedOut := streamline.Collect(streamline.ReduceByKey(keyed, "sum", sum, false), "out")
 	execute(t, typedEnv.Execute)
 
-	untypedEnv := core.NewEnvironment(core.WithParallelism(2), core.WithCombiner(core.CombinerOn))
-	untypedSink := untypedEnv.FromGenerator("gen", 1, n, func(sub, par int, i int64) dataflow.Record {
-		return dataflow.Data(i, 0, float64(i))
-	}).
-		KeyBy("key", func(r dataflow.Record) uint64 { return uint64(r.Value.(float64)) % 5 }).
-		ReduceByKey("sum", func(acc, v float64) float64 { return acc + v }, false).
-		Collect("out")
-	execute(t, untypedEnv.Execute)
-
-	typedPlan := planString(typedEnv.Core().Graph())
-	untypedPlan := planString(untypedEnv.Graph())
-	if typedPlan != untypedPlan {
-		t.Fatalf("plans differ:\ntyped:\n%s\nuntyped:\n%s", typedPlan, untypedPlan)
-	}
-	if !strings.Contains(typedPlan, "sum-combine") {
-		t.Fatalf("combiner not inserted into typed plan:\n%s", typedPlan)
-	}
+	g, key := handGraph(n)
+	comb := g.AddOperator("sum-combine", 1, func() dataflow.Operator {
+		return &dataflow.CombinerOp{F: sum, FlushEvery: 1024}
+	}, dataflow.Edge{From: key, Part: dataflow.Forward})
+	red := g.AddOperator("sum", 2, func() dataflow.Operator {
+		return &dataflow.KeyedReduceOp{F: sum}
+	}, dataflow.Edge{From: comb, Part: dataflow.HashPartition})
+	untypedRecs := handCollect(t, g, red)
+	assertSamePlan(t, typedEnv, g)
 
 	typed := map[uint64]float64{}
 	for _, k := range typedOut.Records() {
 		typed[k.Key] += k.Value
 	}
 	untyped := map[uint64]float64{}
-	for _, r := range untypedSink.Records() {
+	for _, r := range untypedRecs {
 		untyped[r.Key] += r.Value.(float64)
 	}
 	if len(typed) != 5 {
@@ -180,15 +191,15 @@ func TestTypedUntypedCombinerParity(t *testing.T) {
 func TestBoundedUnboundedSamePlan(t *testing.T) {
 	build := func(count int64) string {
 		env := streamline.New(streamline.WithParallelism(2))
-		src := streamline.FromGenerator(env, "gen", 1, count,
+		src := streamline.From(env, "gen", streamline.Generator(count,
 			func(sub, par int, i int64) streamline.Keyed[float64] {
 				return streamline.Keyed[float64]{Ts: i, Value: float64(i)}
-			})
+			}), streamline.WithSourceParallelism(1))
 		keyed := streamline.KeyBy(src, "key", func(v float64) uint64 { return uint64(v) % 3 })
 		win := streamline.WindowAggregate(keyed, "win",
 			streamline.Query(streamline.Tumbling(50), streamline.Avg()))
 		streamline.Sink(win, "out", func(streamline.Keyed[streamline.WindowResult]) {})
-		return planString(env.Core().Graph())
+		return planString(env.Graph())
 	}
 	bounded := build(200)
 	unbounded := build(-1) // never executed; the plan is what matters
@@ -199,7 +210,7 @@ func TestBoundedUnboundedSamePlan(t *testing.T) {
 
 func TestMapFilterFlatMapTyped(t *testing.T) {
 	env := streamline.New(streamline.WithParallelism(1))
-	nums := streamline.FromSlice(env, "src", []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9})
+	nums := streamline.From(env, "src", streamline.Slice([]int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}))
 	odds := streamline.Filter(nums, "odd", func(v int) bool { return v%2 == 1 })
 	strs := streamline.Map(odds, "str", func(v int) string { return strings.Repeat("x", v) })
 	tripled := streamline.FlatMap(strs, "triple", func(s string, out streamline.Emitter[int]) {
@@ -225,7 +236,7 @@ func TestMapFilterFlatMapTyped(t *testing.T) {
 
 func TestKeyByStringMatchesKeyOf(t *testing.T) {
 	env := streamline.New(streamline.WithParallelism(1))
-	words := streamline.FromSlice(env, "src", []string{"alpha", "beta", "alpha"})
+	words := streamline.From(env, "src", streamline.Slice([]string{"alpha", "beta", "alpha"}))
 	keyed := streamline.KeyByString(words, "word", func(w string) string { return w })
 	out := streamline.Collect(keyed, "out")
 	execute(t, env.Execute)
@@ -238,10 +249,10 @@ func TestKeyByStringMatchesKeyOf(t *testing.T) {
 
 func TestKeyByRecordUsesStampedKey(t *testing.T) {
 	env := streamline.New(streamline.WithParallelism(1))
-	src := streamline.FromGenerator(env, "gen", 1, 10,
+	src := streamline.From(env, "gen", streamline.Generator(10,
 		func(sub, par int, i int64) streamline.Keyed[float64] {
 			return streamline.Keyed[float64]{Ts: i, Key: uint64(i % 3), Value: 1}
-		})
+		}), streamline.WithSourceParallelism(1))
 	keyed := streamline.KeyByRecord(src, "key", func(k streamline.Keyed[float64]) uint64 { return k.Key })
 	sums := streamline.ReduceByKey(keyed, "sum", func(acc, v float64) float64 { return acc + v }, false)
 	out := streamline.Collect(sums, "out")
@@ -260,8 +271,8 @@ func TestKeyByRecordUsesStampedKey(t *testing.T) {
 
 func TestUnionTyped(t *testing.T) {
 	env := streamline.New(streamline.WithParallelism(1))
-	a := streamline.FromSlice(env, "a", []float64{1, 2, 3})
-	b := streamline.FromSlice(env, "b", []float64{4, 5})
+	a := streamline.From(env, "a", streamline.Slice([]float64{1, 2, 3}))
+	b := streamline.From(env, "b", streamline.Slice([]float64{4, 5}))
 	u := streamline.Union(a, "u", b)
 	out := streamline.Collect(u, "out")
 	execute(t, env.Execute)
@@ -276,14 +287,14 @@ func TestUnionTyped(t *testing.T) {
 
 func TestJoinWindowTyped(t *testing.T) {
 	env := streamline.New(streamline.WithParallelism(1))
-	left := streamline.FromKeyedSlice(env, "left", []streamline.Keyed[float64]{
+	left := streamline.From(env, "left", streamline.KeyedSlice([]streamline.Keyed[float64]{
 		{Ts: 1, Value: 10},
 		{Ts: 12, Value: 30},
-	})
-	right := streamline.FromKeyedSlice(env, "right", []streamline.Keyed[float64]{
+	}))
+	right := streamline.From(env, "right", streamline.KeyedSlice([]streamline.Keyed[float64]{
 		{Ts: 2, Value: 20},
 		{Ts: 13, Value: 40},
-	})
+	}))
 	lk := streamline.KeyBy(left, "lk", func(float64) uint64 { return 7 })
 	rk := streamline.KeyBy(right, "rk", func(float64) uint64 { return 7 })
 	joined := streamline.JoinWindow(lk, "join", rk, 10)
@@ -308,7 +319,7 @@ func TestJoinWindowTyped(t *testing.T) {
 
 func TestReduceByKeyEmitEach(t *testing.T) {
 	env := streamline.New(streamline.WithParallelism(1))
-	src := streamline.FromSlice(env, "src", []float64{1, 1, 1, 1})
+	src := streamline.From(env, "src", streamline.Slice([]float64{1, 1, 1, 1}))
 	keyed := streamline.KeyBy(src, "k", func(float64) uint64 { return 1 })
 	running := streamline.ReduceByKey(keyed, "sum", func(acc, v float64) float64 { return acc + v }, true)
 	out := streamline.Collect(running, "out")
@@ -332,10 +343,10 @@ func TestReduceByKeyEmitEach(t *testing.T) {
 func TestCheckpointingThroughTypedAPI(t *testing.T) {
 	env := streamline.New(streamline.WithParallelism(1),
 		streamline.WithCheckpointing(streamline.NewMemoryBackend(0), 20*time.Millisecond))
-	src := streamline.FromPacedGenerator(env, "gen", 1, 3000, 15000,
+	src := streamline.From(env, "gen", streamline.Paced(streamline.Generator(3000,
 		func(sub, par int, i int64) streamline.Keyed[float64] {
 			return streamline.Keyed[float64]{Ts: i, Value: 1}
-		})
+		}), 15000), streamline.WithSourceParallelism(1))
 	keyed := streamline.KeyBy(src, "key", func(v float64) uint64 { return uint64(v) })
 	sums := streamline.ReduceByKey(keyed, "sum", func(acc, v float64) float64 { return acc + v }, false)
 	out := streamline.Collect(sums, "out")
@@ -371,7 +382,7 @@ func TestBatchSizeIsPhysicalOnly(t *testing.T) {
 	}
 
 	refEnv, refOut := build()
-	refPlan := planString(refEnv.Core().Graph())
+	refPlan := planString(refEnv.Graph())
 	execute(t, refEnv.Execute)
 	ref := map[resultKey]int{}
 	for _, k := range refOut.Records() {
@@ -391,7 +402,7 @@ func TestBatchSizeIsPhysicalOnly(t *testing.T) {
 	} {
 		t.Run(cfg.name, func(t *testing.T) {
 			env, out := build(cfg.opts...)
-			if plan := planString(env.Core().Graph()); plan != refPlan {
+			if plan := planString(env.Graph()); plan != refPlan {
 				t.Fatalf("batch options changed the logical plan:\nref:\n%s\ngot:\n%s", refPlan, plan)
 			}
 			execute(t, env.Execute)

@@ -128,6 +128,67 @@ func TestExecuteSupervisedLocalRecoversExactlyOnce(t *testing.T) {
 	}
 }
 
+// corruptNewerBackend serves the newest stored snapshot together with an
+// error, the way a file backend reports a corrupt newer checkpoint file
+// while falling back to the newest readable one. It records the checkpoint
+// IDs it served.
+type corruptNewerBackend struct {
+	streamline.Backend
+	served []int64
+}
+
+func (b *corruptNewerBackend) Latest() (*streamline.Snapshot, bool, error) {
+	snap, ok, err := b.Backend.Latest()
+	if !ok {
+		return snap, ok, err
+	}
+	b.served = append(b.served, snap.CheckpointID)
+	return snap, true, errors.New("checkpoint file newer than this one is corrupt")
+}
+
+// TestExecuteSupervisedLocalRestoresReadableCheckpoint: when the backend
+// returns a readable snapshot alongside an error about a corrupt newer one,
+// the local supervision loop must resume from that snapshot rather than
+// restart from scratch, and the output must stay exactly-once.
+func TestExecuteSupervisedLocalRestoresReadableCheckpoint(t *testing.T) {
+	const total, failAt = 800, 600
+	mem := streamline.NewMemoryBackend(0)
+	backend := &corruptNewerBackend{Backend: mem}
+	var attempts atomic.Int32
+	// The source gates its failure on the plain backend, so only the
+	// supervisor's recovery lookups go through the corrupting wrapper.
+	src := &flakySource{total: total, failAt: failAt, failures: 1, attempts: &attempts, backend: mem}
+
+	env := streamline.New(
+		streamline.WithParallelism(1),
+		streamline.WithCheckpointing(backend, 10*time.Millisecond),
+		streamline.WithSupervision(5, 10*time.Millisecond, 50*time.Millisecond),
+	)
+	stream := streamline.From(env, "flaky", streamline.Paced[float64](src, 4000), streamline.WithSourceParallelism(1))
+	out := streamline.Collect(stream, "out")
+
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	if err := env.ExecuteSupervised(ctx); err != nil {
+		t.Fatalf("supervised local run: %v", err)
+	}
+	stats := env.RestartStats()
+	if len(stats) != 1 || len(backend.served) != 1 {
+		t.Fatalf("want one restart and one Latest call, got stats %+v, served %v", stats, backend.served)
+	}
+	if got, want := stats[0].Checkpoint, backend.served[0]; got != want {
+		t.Fatalf("restart resumed from checkpoint %d, want the readable snapshot %d the backend returned", got, want)
+	}
+	recs := out.Records()
+	seen := make(map[int64]int, total)
+	for _, r := range recs {
+		seen[r.Ts]++
+	}
+	if len(recs) != total || len(seen) != total {
+		t.Fatalf("collected %d records over %d positions, want exactly %d once each", len(recs), len(seen), total)
+	}
+}
+
 // brokenSource fails every attempt — the permanent fault that must exhaust
 // the local supervision loop's restart budget.
 type brokenSource struct{ attempts *atomic.Int32 }

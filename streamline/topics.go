@@ -511,7 +511,7 @@ func (r *topicFollowReader[T]) Err() error {
 // after the topic's existing records.
 func Persist[T any](s *Stream[T], store *TopicStore, topic string) {
 	s.noteConsumer()
-	s.lower().SinkOperator("persist("+topic+")", func() dataflow.Operator {
+	s.env.addSink("persist("+topic+")", s.lower(), func() dataflow.Operator {
 		return &persistOp{store: store.s, topic: topic}
 	})
 }

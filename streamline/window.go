@@ -1,8 +1,9 @@
 package streamline
 
 import (
+	"fmt"
+
 	"repro/internal/agg"
-	"repro/internal/core"
 	"repro/internal/dataflow"
 	"repro/internal/window"
 )
@@ -54,7 +55,10 @@ func Min() Aggregate { return agg.MinF64() }
 func Max() Aggregate { return agg.MaxF64() }
 
 // WindowedQuery pairs a window shape with an aggregate for WindowAggregate.
-type WindowedQuery = core.WindowedQuery
+type WindowedQuery struct {
+	Window Window
+	Fn     Aggregate
+}
 
 // Query constructs a WindowedQuery.
 func Query(w Window, fn Aggregate) WindowedQuery {
@@ -70,8 +74,25 @@ type WindowResult = dataflow.WindowResult
 // (KeyBy first). All queries registered in one call share slicing and
 // pre-aggregation work per key through the Cutty engine — adding a query to
 // an existing call is cheaper than a second WindowAggregate. Each element
-// of the result stream is one fired window.
+// of the result stream is one fired window. An unkeyed stream or an empty
+// query list fails the build.
 func WindowAggregate(s *Stream[float64], name string, queries ...WindowedQuery) *Stream[WindowResult] {
 	s.noteConsumer()
-	return &Stream[WindowResult]{env: s.env, inner: s.lower().WindowAggregate(name, queries...)}
+	env := s.env
+	in := s.lower()
+	switch {
+	case len(queries) == 0:
+		env.fail(fmt.Errorf("streamline: WindowAggregate %q requires at least one query", name))
+		return &Stream[WindowResult]{env: env, node: in}
+	case !s.keyed:
+		env.fail(fmt.Errorf("streamline: WindowAggregate %q requires a keyed stream (call KeyBy first)", name))
+		return &Stream[WindowResult]{env: env, node: in}
+	}
+	wq := make([]dataflow.WindowQuery, len(queries))
+	for i, q := range queries {
+		wq[i] = dataflow.WindowQuery{Spec: q.Window, Fn: q.Fn}
+	}
+	n := env.graph.AddOperator(name, env.parallelism, dataflow.NewWindowOp(wq...),
+		dataflow.Edge{From: in, Part: dataflow.HashPartition})
+	return &Stream[WindowResult]{env: env, node: n, keyed: true}
 }
