@@ -1221,15 +1221,26 @@ func (j *Job) coordinate(rt *runtime, done chan struct{}) {
 	}
 }
 
-// runSource drives a source subtask: generate records, inject barriers on
-// coordinator triggers, and finish the chain at end of stream. Records flow
-// through the chain's collector into the batching outputs, so at-rest replay
-// (files, slices) is vectorized end to end; the records_in counter is
-// flushed in batches at control boundaries rather than per record.
+// runSource drives a source subtask. Each turn of its one loop handles a
+// pending checkpoint trigger or cancellation, then reads one batch: up to
+// the exchange batch size from a BatchSource (stored data), one record from
+// any other source (live and paced inputs keep their per-record latency).
+// Within the batch, each data run between watermarks goes through the chain
+// in one processBatch call — the path runOperator's exchange-fed chains take
+// — or record by record with WithVectorizedChains(false); a watermark ends
+// the run and is broadcast after it. Barriers are injected only between
+// batches, so a source snapshot always covers exactly the records already
+// handed downstream. The records_in counter is flushed in batches at
+// control boundaries rather than per record. At end of stream the chain
+// gets the final +inf watermark, finishes, and broadcasts the end marker.
 func runSource(rt *runtime, n *Node, subtask int, src SourceFunc, ch *chain, control chan int64, nm *nodeMetrics) error {
 	stopFlush := ch.out.startFlusher(&rt.wg)
 	defer stopFlush()
 	entry := ch.collector()
+	bs, _ := src.(BatchSource)
+	// The batch buffer grows on first use and is reused for every later
+	// batch; a source that ends before its first record allocates nothing.
+	var buf []Record
 	var pendingIn int64
 	flushIn := func() {
 		if nm != nil && pendingIn != 0 {
@@ -1264,8 +1275,13 @@ func runSource(rt *runtime, n *Node, subtask int, src SourceFunc, ch *chain, con
 			continue
 		default:
 		}
-		r, ok := src.Next()
-		if !ok {
+		buf = buf[:0]
+		if bs != nil {
+			buf = bs.NextBatch(buf, ch.out.batchSize)
+		} else if r, ok := src.Next(); ok {
+			buf = append(buf, r)
+		}
+		if len(buf) == 0 {
 			flushIn()
 			if err := sourceErr(src); err != nil {
 				return fmt.Errorf("source %q/%d: %w", n.Name, subtask, err)
@@ -1278,8 +1294,35 @@ func runSource(rt *runtime, n *Node, subtask int, src SourceFunc, ch *chain, con
 			ch.out.broadcast(End())
 			return nil
 		}
-		switch r.Kind {
-		case KindWatermark:
+		for i := 0; i < len(buf); {
+			r := buf[i]
+			if r.Kind == KindData {
+				// The run extends to the next control record.
+				j := i + 1
+				for j < len(buf) && buf[j].Kind == KindData {
+					j++
+				}
+				run := buf[i:j]
+				i = j
+				pendingIn += int64(len(run))
+				if pendingIn >= int64(ch.out.batchSize) {
+					// Keep the metric live for watermark-sparse sources without
+					// reverting to per-record increments.
+					flushIn()
+				}
+				if ch.vectorize {
+					ch.processBatch(run)
+				} else {
+					for _, r := range run {
+						entry.Collect(r)
+					}
+				}
+				continue
+			}
+			i++
+			if r.Kind != KindWatermark {
+				continue // barriers and end markers belong to the runtime
+			}
 			flushIn()
 			if nm != nil {
 				nm.watermark.Max(r.Ts)
@@ -1288,14 +1331,6 @@ func runSource(rt *runtime, n *Node, subtask int, src SourceFunc, ch *chain, con
 			if !ch.out.broadcast(r) {
 				return nil
 			}
-		case KindData:
-			pendingIn++
-			if pendingIn >= int64(ch.out.batchSize) {
-				// Keep the metric live for watermark-sparse sources without
-				// reverting to per-record increments.
-				flushIn()
-			}
-			entry.Collect(r)
 		}
 	}
 }

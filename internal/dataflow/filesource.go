@@ -331,6 +331,13 @@ func (s *FileScanSource) Next() (Record, bool) {
 	}
 }
 
+// NextBatch implements BatchSource: file reads never wait on a producer.
+// Each record goes through Next, so split bookkeeping, snapshots and scan
+// metrics are those of a record-at-a-time scan.
+func (s *FileScanSource) NextBatch(dst []Record, max int) []Record {
+	return readBatch(dst, max, s.Next)
+}
+
 // nextInSplit emits the next record of the current split; ok=false means the
 // split is exhausted (a record starting before End is consumed entirely,
 // even when it extends past it).

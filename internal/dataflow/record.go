@@ -25,22 +25,31 @@
 //     shipped immediately, so per-channel ordering — and with it watermark
 //     monotonicity and ABS barrier alignment — is preserved exactly.
 //
-// Receivers return consumed batches to a shared sync.Pool. Operator chains
-// are unaffected: a fused chain passes records by direct Collect calls and
-// batches only at real exchange boundaries. Batching is purely physical —
+// Receivers return consumed batches to a shared sync.Pool. Sources read
+// batch-at-a-time too: a source implementing BatchSource (file and topic
+// scans, generators) hands its subtask up to Graph.BatchSize records per
+// NextBatch call, and the subtask checks for checkpoint triggers and
+// cancellation once per batch instead of once per record — so barriers sit
+// only between source batches and a source snapshot always covers exactly
+// the records already handed downstream. NextBatch may block only until it
+// holds its first record; sources whose reads wait on a producer (channels,
+// paced or live inputs) do not implement it and are read one record per
+// batch, keeping their per-record latency. Batching is purely physical —
 // the logical plan and its results are identical at every batch size; only
 // the throughput/latency trade-off moves (bigger batches amortize channel
 // hops, the flush interval bounds how stale an in-motion record may get).
 //
 // # Vectorized operators
 //
-// Receiving subtasks do not pay one virtual OnRecord dispatch per record:
-// operators implementing BatchedOperator take whole contiguous runs of data
-// records through OnBatch. The chain driver scans each inbound batch up to
-// the next control record (watermarks, barriers and end markers split runs,
-// so alignment and event-time ordering never change), hands the run through
-// every batched operator in the chain — maps overwrite slots in place,
-// filters compact survivors by copy-down, flatmaps emit into a reused
+// Subtasks do not pay one virtual OnRecord dispatch per record: operators
+// implementing BatchedOperator take whole contiguous runs of data records
+// through OnBatch. This holds for exchange-fed chains and for source chains
+// alike — a source subtask drives each batch it reads through the same
+// chain path an inbound exchange batch takes. The chain driver scans each
+// batch up to the next control record (watermarks, barriers and end markers
+// split runs, so alignment and event-time ordering never change), hands the
+// run through every batched operator in the chain — maps overwrite slots in
+// place, filters compact survivors by copy-down, flatmaps emit into a reused
 // scratch buffer — and routes the survivors into the outbound exchange
 // under a single staging-lock acquisition. The first operator without
 // OnBatch downgrades the rest of its chain to per-record Collect calls, so

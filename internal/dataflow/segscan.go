@@ -136,6 +136,11 @@ func (s *SplitScanSource) Next() (Record, bool) {
 	}
 }
 
+// NextBatch implements BatchSource by looping Next, like the file scan's.
+func (s *SplitScanSource) NextBatch(dst []Record, max int) []Record {
+	return readBatch(dst, max, s.Next)
+}
+
 // Snapshot implements SourceFunc with the same versioned state as the file
 // scan (splitScanState): completed split IDs, the in-flight split's resume
 // position, and — on subtask 0 — the restored-pending carry and the plan's

@@ -24,6 +24,36 @@ type SourceFunc interface {
 	Restore([]byte) error
 }
 
+// BatchSource is an optional SourceFunc extension for sources that can hand
+// the runtime several records per call: stored data (files, topic segments,
+// generators) whose reads never wait on a producer. The runtime then checks
+// for checkpoint triggers and cancellation once per batch instead of once
+// per record, and hands each data run to the chain in one call.
+//
+// NextBatch appends at most max records to dst — data and watermarks, in
+// exactly the order Next would return them — and returns the extended
+// slice; appending nothing means end of stream. It may block only until it
+// holds its first record: a source whose later records may wait on a
+// producer (channels, paced or live inputs) must not implement it, or
+// records already read would sit in the batch while it waits. Snapshot is
+// only called between NextBatch calls and covers every record returned.
+type BatchSource interface {
+	NextBatch(dst []Record, max int) []Record
+}
+
+// readBatch appends up to max records from next, stopping early at end of
+// stream: NextBatch for sources whose Next never waits on a producer.
+func readBatch(dst []Record, max int, next func() (Record, bool)) []Record {
+	for ; max > 0; max-- {
+		r, ok := next()
+		if !ok {
+			break
+		}
+		dst = append(dst, r)
+	}
+	return dst
+}
+
 // Failable is an optional SourceFunc extension for sources whose input can
 // fail mid-stream (files, networks). Next has no error return — a failing
 // source ends its stream (ok=false) and reports the cause through Err, which
@@ -139,6 +169,11 @@ func (g *GenSource) Next() (Record, bool) {
 		g.pendingWM = g.maxTs - g.Lag
 	}
 	return r, true
+}
+
+// NextBatch implements BatchSource: generation never waits on a producer.
+func (g *GenSource) NextBatch(dst []Record, max int) []Record {
+	return readBatch(dst, max, g.Next)
 }
 
 // Snapshot implements SourceFunc.

@@ -373,13 +373,17 @@ func (j *jsonlSource[T]) Open(sub, par int) Reader[T] {
 }
 
 func (j *jsonlSource[T]) open(plan *dataflow.ScanPlan, sub, par int) Reader[T] {
+	// v is the subtask's decode target, zeroed before each line: boxing the
+	// record copies it, so one allocation per record serves both.
+	var v T
 	return &funcReader[T]{src: &dataflow.FileScanSource{
 		Plan: plan, Subtask: sub, Parallelism: par,
 		DecodeLine: func(line []byte, off int64) (dataflow.Record, bool, error) {
 			if len(bytes.TrimSpace(line)) == 0 {
 				return dataflow.Record{}, false, nil
 			}
-			var v T
+			var zero T
+			v = zero
 			if err := json.Unmarshal(line, &v); err != nil {
 				return dataflow.Record{}, false, fmt.Errorf("decode %s: %w", typeName[T](), err)
 			}

@@ -112,9 +112,16 @@ type DialPolicy = transport.DialPolicy
 func RegisterWireTypes(examples ...any) { transport.RegisterTypes(examples...) }
 
 // Metrics returns the environment's metrics registry (created on first
-// use). Distributed runs report per-edge transport gauges and counters
-// ("edge.<name>.<i>.queued_batches", "edge.<name>.<i>.tx_bytes") and
-// checkpoint counts into it.
+// use). Runs report into it: per-node input counts and watermarks
+// ("node.<name>.records_in", "node.<name>.watermark"), the scan and topic
+// counters of at-rest sources ("node.<name>.records_out",
+// "node.<name>.bytes_scanned", ...), checkpoint counts and durations
+// ("job.checkpoints", "job.checkpoint_nanos"), and for distributed runs the
+// per-edge transport gauges and counters ("edge.<name>.<i>.queued_batches",
+// "edge.<name>.<i>.tx_bytes"); a distributed run reports only the subtasks
+// of this process. Call Metrics before Execute: a run started without a
+// registry reports nothing, and one created during a run is not attached
+// to it.
 func (e *Env) Metrics() *metrics.Registry {
 	e.regOnce.Do(func() { e.reg = metrics.NewRegistry() })
 	return e.reg

@@ -102,6 +102,12 @@
 // Snapshot/Restore serialize the read position for exactly-once recovery
 // (MultiRestorer additionally lets a connector's state redistribute across
 // a different source parallelism, the way the file connectors do).
+// Custom Readers stay record-at-a-time: the runtime calls Next once per
+// element and checks for checkpoints and cancellation between calls, so a
+// live reader's element reaches the pipeline without waiting for the next
+// one. The built-in file and topic scans are read a batch at a time
+// instead, their engine records entering the pipeline without a round trip
+// through the typed value.
 //
 // # Lowering and the optimizer
 //

@@ -264,6 +264,9 @@ func (e *Env) run(ctx context.Context, snap *Snapshot) error {
 	if e.backend != nil {
 		opts = append(opts, dataflow.WithCheckpointing(e.backend, e.ckptEvery))
 	}
+	if e.reg != nil {
+		opts = append(opts, dataflow.WithMetrics(e.reg))
+	}
 	e.job = dataflow.NewJob(e.graph, opts...)
 	return e.job.Run(ctx)
 }

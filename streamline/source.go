@@ -172,17 +172,7 @@ func From[T any](env *Env, name string, src Source[T], opts ...SourceOption) *St
 		if sub == 0 {
 			clock.reset()
 		}
-		l := &loweredReader[T]{
-			r:       openSourceShared(src, &slot, sub, par),
-			ts:      ts,
-			every:   cfg.wmEvery,
-			lag:     cfg.lag,
-			wmFloor: minInt64,
-		}
-		if readerCanHandoff(l.r) {
-			l.clock = clock
-		}
-		return l
+		return lowerReader(openSourceShared(src, &slot, sub, par), ts, cfg.wmEvery, cfg.lag, clock)
 	}
 	return &Stream[T]{env: env, node: env.addSource(name, cfg.parallelism, factory)}
 }
@@ -227,11 +217,6 @@ func emptySourceFactory(sub, par int) dataflow.SourceFunc {
 	return &dataflow.GenSource{N: 0, Gen: func(int64) dataflow.Record { return dataflow.Record{} }}
 }
 
-// loweredReader adapts a typed Reader to the engine's SourceFunc: it boxes
-// elements, applies the timestamp extractor, and generates cadence
-// watermarks (one per `every` records, trailing the max seen timestamp by
-// `lag`), mirroring GenSource's watermarking so connector-built sources
-// behave exactly like the legacy constructors.
 // stageClock is the shared event-time high-water mark of one source stage:
 // every subtask folds its emitted timestamps in, and ReadHandoff promises
 // its value. Advance is a CAS-max, so the hot-path cost is one atomic load
@@ -269,12 +254,35 @@ func readerCanHandoff(r any) bool {
 	return false
 }
 
+// lowerReader adapts one subtask's reader to the engine. Only
+// handoff-capable readers join the stage clock; a funcReader over an engine
+// source that batches itself gets the unboxed NextBatch pass-through.
+func lowerReader[T any](r Reader[T], ts func(T) int64, every, lag int64, clock *stageClock) *loweredReader[T] {
+	l := &loweredReader[T]{r: r, ts: ts, every: every, lag: lag, wmFloor: minInt64}
+	if readerCanHandoff(r) {
+		l.clock = clock
+	}
+	if fr, ok := r.(*funcReader[T]); ok && l.clock == nil {
+		l.batch, _ = fr.src.(dataflow.BatchSource)
+	}
+	return l
+}
+
+// loweredReader adapts a typed Reader to the engine's SourceFunc: it boxes
+// elements, applies the timestamp extractor, and generates cadence
+// watermarks (one per `every` records, trailing the max seen timestamp by
+// `lag`), mirroring GenSource's watermarking so connector-built sources
+// behave exactly like the legacy constructors. It is also a BatchSource;
+// see NextBatch for which readers actually batch.
 type loweredReader[T any] struct {
 	r     Reader[T]
 	ts    func(T) int64
 	every int64
 	lag   int64
 	clock *stageClock // non-nil only for handoff-capable readers
+	// batch is the engine source under a funcReader that batches itself,
+	// nil otherwise: NextBatch then passes its records through unboxed.
+	batch dataflow.BatchSource
 
 	maxTs     int64
 	haveTs    bool
@@ -359,20 +367,7 @@ func (l *loweredReader[T]) Next() (dataflow.Record, bool) {
 		}
 		return l.emitWM(l.watermark())
 	case ReadWatermark:
-		// Reader-steered watermark (custom connectors): an explicit promise,
-		// in event time, that the reader's input is complete up to here —
-		// it may advance event time past the data already seen (heartbeats
-		// during a lull). The at-rest→in-motion handoff does not come through
-		// here; it has its own status below, because its natural clock (file
-		// byte offsets) is not event time.
-		wm := k.Ts
-		if l.haveTs && l.maxTs > wm {
-			wm = l.maxTs
-		}
-		if k.Ts > l.maxTs || !l.haveTs {
-			l.maxTs, l.haveTs = k.Ts, true
-		}
-		return l.emitWM(wm)
+		return l.readerWatermark(k.Ts)
 	case ReadHandoff:
 		// The at-rest phase is complete for this subtask; everything it
 		// emits next follows the live contract, so the promise is the
@@ -404,8 +399,42 @@ func (l *loweredReader[T]) Next() (dataflow.Record, bool) {
 	if l.ts != nil {
 		k.Ts = l.ts(k.Value)
 	}
-	if k.Ts > l.maxTs || !l.haveTs {
-		l.maxTs, l.haveTs = k.Ts, true
+	l.observe(k.Ts, !readerUnordered(l.r))
+	return box(k), true
+}
+
+// readerWatermark converts a reader-steered watermark (custom connectors,
+// or a watermark record of an engine source): an explicit promise, in event
+// time, that the reader's input is complete up to here — it may advance
+// event time past the data already seen (heartbeats during a lull). The
+// at-rest→in-motion handoff does not come through here; it has its own
+// status, because its natural clock (file byte offsets) is not event time.
+func (l *loweredReader[T]) readerWatermark(ts int64) (dataflow.Record, bool) {
+	wm := ts
+	if l.haveTs && l.maxTs > wm {
+		wm = l.maxTs
+	}
+	if ts > l.maxTs || !l.haveTs {
+		l.maxTs, l.haveTs = ts, true
+	}
+	return l.emitWM(wm)
+}
+
+// cadence is the effective watermark cadence in records.
+func (l *loweredReader[T]) cadence() int64 {
+	if l.every <= 0 {
+		return 64
+	}
+	return l.every
+}
+
+// observe folds one data record's (extracted) timestamp into the adapter's
+// event-time bookkeeping: the running maximum, the stage clock, and — for
+// an ordered reader — the cadence count, queueing a watermark every
+// cadence() records.
+func (l *loweredReader[T]) observe(ts int64, ordered bool) {
+	if ts > l.maxTs || !l.haveTs {
+		l.maxTs, l.haveTs = ts, true
 	}
 	// The stage clock tracks the *at-rest* maximum only: once this subtask
 	// crosses the handoff its records are live and stop contributing, so the
@@ -413,9 +442,9 @@ func (l *loweredReader[T]) Next() (dataflow.Record, bool) {
 	// lift every crossed subtask's floor to the newest live record — no lag
 	// allowance, and promised cross-subtask before the records are seen.
 	if l.clock != nil && !readerCrossedHandoff(l.r) {
-		l.clock.advance(k.Ts)
-		if k.Ts > l.atRestMax || !l.atRestHave {
-			l.atRestMax, l.atRestHave = k.Ts, true
+		l.clock.advance(ts)
+		if ts > l.atRestMax || !l.atRestHave {
+			l.atRestMax, l.atRestHave = ts, true
 		}
 	}
 	// Cadence watermarks assume the reader emits in (roughly) timestamp
@@ -425,19 +454,69 @@ func (l *loweredReader[T]) Next() (dataflow.Record, bool) {
 	// single early high-timestamp record would mark everything after it late.
 	// Event time over such a scan closes out at end of stream (the runtime's
 	// +inf watermark) or at a composite's explicit handoff watermark.
-	if !readerUnordered(l.r) {
-		every := l.every
-		if every <= 0 {
-			every = 64
-		}
+	if ordered {
 		l.sinceWM++
-		if l.sinceWM >= every {
+		if l.sinceWM >= l.cadence() {
 			l.sinceWM = 0
 			l.havePend = true
 			l.pendingWM = l.watermark()
 		}
 	}
-	return box(k), true
+}
+
+// NextBatch implements dataflow.BatchSource. When the reader is an engine
+// source that batches itself (the file and topic scans) and no handoff
+// clock is involved, the engine records pass through unchanged — no unbox,
+// no rebox — and only the timestamp extractor, the event-time bookkeeping
+// and cadence watermarks are applied, in Next order: an ordered reader is
+// asked for at most the records left until the next cadence watermark, so
+// that watermark ends the batch. Every other reader — custom and live ones
+// included — gets one Next per call, so a record is never held back while
+// the reader waits for the next one.
+func (l *loweredReader[T]) NextBatch(dst []dataflow.Record, limit int) []dataflow.Record {
+	if l.batch == nil {
+		if r, ok := l.Next(); ok {
+			dst = append(dst, r)
+		}
+		return dst
+	}
+	start := len(dst)
+	dst = l.appendPending(dst)
+	n := limit - (len(dst) - start)
+	ordered := !readerUnordered(l.r)
+	if ordered {
+		n = int(min(int64(n), max(l.cadence()-l.sinceWM, 1)))
+	}
+	if n <= 0 {
+		return dst
+	}
+	from := len(dst)
+	dst = l.batch.NextBatch(dst, n)
+	for i := from; i < len(dst); i++ {
+		r := &dst[i]
+		if r.Kind == dataflow.KindWatermark {
+			*r, _ = l.readerWatermark(r.Ts)
+			continue
+		}
+		if l.ts != nil {
+			r.Ts = l.ts(r.Value.(T))
+		}
+		l.observe(r.Ts, ordered)
+	}
+	if len(dst)-start < limit {
+		dst = l.appendPending(dst)
+	}
+	return dst
+}
+
+// appendPending appends the queued cadence watermark, if there is one.
+func (l *loweredReader[T]) appendPending(dst []dataflow.Record) []dataflow.Record {
+	if !l.havePend {
+		return dst
+	}
+	l.havePend = false
+	r, _ := l.emitWM(l.pendingWM)
+	return append(dst, r)
 }
 
 // Snapshot implements dataflow.SourceFunc.

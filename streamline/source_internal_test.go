@@ -1,6 +1,8 @@
 package streamline
 
 import (
+	"bytes"
+	"reflect"
 	"testing"
 
 	"repro/internal/dataflow"
@@ -96,5 +98,102 @@ func TestLoweredReaderWatermarkPassThrough(t *testing.T) {
 	}
 	if len(wms) != 1 || wms[0] != 10 {
 		t.Fatalf("watermarks = %v, want [10]", wms)
+	}
+}
+
+// unorderedGen is a generator that declares itself unordered, like the
+// split scans.
+type unorderedGen struct{ *dataflow.GenSource }
+
+func (unorderedGen) Unordered() bool { return true }
+
+// loweredGen lowers a fresh generator of n records through a funcReader.
+// Its timestamps wander (ts ≈ i, ±8), and it emits watermarks of its own
+// every 10 records.
+func loweredGen(n int64, ordered bool, ts func(float64) int64, every int64) *loweredReader[float64] {
+	gen := &dataflow.GenSource{N: n, WatermarkEvery: 10, Lag: 5, Gen: func(i int64) dataflow.Record {
+		return dataflow.Data(i+(i*7)%17-8, uint64(i%5), float64(i))
+	}}
+	var src dataflow.SourceFunc = gen
+	if !ordered {
+		src = unorderedGen{gen}
+	}
+	return lowerReader[float64](&funcReader[float64]{src: src}, ts, every, 3, newStageClock())
+}
+
+// The batched pass-through of an engine source must hand the runtime
+// exactly the records Next would — data with extracted timestamps, the
+// source's own watermarks converted, cadence watermarks where Next puts
+// them — at any batch limit, and end in the same snapshot state.
+func TestLoweredReaderNextBatchMatchesNext(t *testing.T) {
+	const n = 500
+	extract := func(v float64) int64 { return int64(v) * 2 }
+	for _, ordered := range []bool{true, false} {
+		for _, ts := range []func(float64) int64{nil, extract} {
+			for _, every := range []int64{1, 7, 64} {
+				for _, limit := range []int{1, 2, 5, 64, 256} {
+					ref := loweredGen(n, ordered, ts, every)
+					var want []dataflow.Record
+					for {
+						r, ok := ref.Next()
+						if !ok {
+							break
+						}
+						want = append(want, r)
+					}
+					l := loweredGen(n, ordered, ts, every)
+					if l.batch == nil {
+						t.Fatalf("a funcReader over a BatchSource must take the pass-through")
+					}
+					var got []dataflow.Record
+					for {
+						b := l.NextBatch(nil, limit)
+						if len(b) > limit {
+							t.Fatalf("NextBatch(%d) returned %d records", limit, len(b))
+						}
+						if len(b) == 0 {
+							break
+						}
+						got = append(got, b...)
+					}
+					if !reflect.DeepEqual(got, want) {
+						t.Fatalf("ordered=%v extractor=%v every=%d limit=%d: batched records differ from Next's\n got %v\nwant %v",
+							ordered, ts != nil, every, limit, got, want)
+					}
+					a, _ := ref.Snapshot()
+					b, _ := l.Snapshot()
+					if !bytes.Equal(a, b) {
+						t.Fatalf("ordered=%v every=%d limit=%d: snapshot after a batched read differs", ordered, every, limit)
+					}
+				}
+			}
+		}
+	}
+}
+
+// Readers that are not an engine BatchSource under a funcReader stay
+// record-at-a-time: NextBatch returns one Next per call.
+func TestLoweredReaderNextBatchOneRecordForOtherReaders(t *testing.T) {
+	s := &scriptedReader{}
+	for i := 0; i < 5; i++ {
+		s.add(Keyed[float64]{Ts: int64(i), Value: float64(i)}, ReadData)
+	}
+	l := lowerReader[float64](s, nil, 2, 0, newStageClock())
+	if l.batch != nil {
+		t.Fatalf("a custom reader must not take the pass-through")
+	}
+	calls := 0
+	for {
+		b := l.NextBatch(nil, 64)
+		if len(b) == 0 {
+			break
+		}
+		calls++
+		if len(b) != 1 {
+			t.Fatalf("NextBatch returned %d records from a custom reader, want 1", len(b))
+		}
+	}
+	if calls != 7 { // 5 records and 2 cadence watermarks
+		t.Fatalf("%d NextBatch calls, want 7", calls)
 	}
 }

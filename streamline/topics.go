@@ -253,6 +253,9 @@ type topicSplitReader[T any] struct {
 	topic   string
 	rr      *seglog.RangeReader
 	lastPos int64
+	// v is the decode target, zeroed before each payload: boxing the record
+	// copies it, so one allocation per record serves both.
+	v T
 }
 
 func (r *topicSplitReader[T]) OpenSplit(sp dataflow.Split, resumeAt int64) error {
@@ -278,11 +281,12 @@ func (r *topicSplitReader[T]) NextInSplit() (dataflow.Record, bool, error) {
 	if err != nil || !ok {
 		return dataflow.Record{}, false, err
 	}
-	var v T
-	if err := json.Unmarshal(rec.Payload, &v); err != nil {
+	var zero T
+	r.v = zero
+	if err := json.Unmarshal(rec.Payload, &r.v); err != nil {
 		return dataflow.Record{}, false, fmt.Errorf("topic %q offset %d: decode %s: %w", r.topic, rec.Offset, typeName[T](), err)
 	}
-	return dataflow.Data(rec.Ts, rec.Key, v), true, nil
+	return dataflow.Data(rec.Ts, rec.Key, r.v), true, nil
 }
 
 func (r *topicSplitReader[T]) Pos() int64 {
